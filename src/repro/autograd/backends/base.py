@@ -207,7 +207,11 @@ def einsum_cached(subscripts: str, *operands: np.ndarray, out=None):
     ``optimize=True`` re-runs the path search on every call — measurable
     pure overhead once shapes are fixed, which for a training loop is
     always.  The search is deterministic, so caching the path per
-    ``(subscripts, shapes)`` is bit-identical to ``optimize=True``.
+    ``(subscripts, shapes)`` is bit-identical to ``optimize=True``.  Only
+    the search is saved: ``np.einsum(..., optimize=path)`` still parses
+    the equation and validates the path against the operands on every
+    call, so a hot kernel with a fixed contraction is cheaper as an
+    explicit GEMM.
     """
     key = (subscripts, tuple(op.shape for op in operands))
     path = _EINSUM_PATHS.get(key)

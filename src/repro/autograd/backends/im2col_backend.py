@@ -21,10 +21,10 @@ memory is the ``(N, C_in*K, T_out)`` im2col buffer — the classic
 space-for-speed trade of im2col convolutions.
 
 Under a compiled step the kernels receive a persistent ``scratch`` dict:
-the GEMM outputs, the col2im accumulator and the ``einsum`` contraction
-path are then kept across replays instead of being reallocated (or, for
-the path, re-searched) every batch — same operations, same bits, no
-steady-state allocations.
+the GEMM outputs, the col2im accumulator and the stacked kernels'
+``einsum`` contraction path are then kept across replays instead of
+being reallocated (or, for the path, re-searched) every batch — same
+operations, same bits, no steady-state allocations.
 """
 
 from __future__ import annotations
@@ -135,17 +135,26 @@ class Im2colBackend(ConvBackend):
                     w_shape: Tuple[int, int, int],
                     dilation: int, stride: int, t: int,
                     scratch: Optional[dict] = None) -> np.ndarray:
-        k = w_shape[2]
+        c_out, c_in, k = w_shape
+        n = xp.shape[0]
         patches = _patch_view(xp, k, dilation, stride, t)
-        # One contraction over the strided view (gw[o,c,i] = Σ_{n,t}
-        # grad[n,o,t] * patches[n,c,i,t]); einsum materializes at most one
-        # im2col buffer internally, where an explicit reshape+transpose
-        # GEMM would copy it twice.
+        t_out = patches.shape[-1]
+        # gw[o,c,i] = Σ_{n,t} grad[n,o,t] * patches[n,c,i,t] as one GEMM:
+        # the materialized (C_in*K, N*T_out) patch matrix times the
+        # (N*T_out, C_out) gradient matrix — the operand layout einsum's
+        # own matmul lowering picks, so the bits are einsum's, without
+        # its per-call equation parsing.
+        pmat = patches.transpose(1, 2, 0, 3).reshape(c_in * k, n * t_out)
+        gmat = grad.transpose(0, 2, 1).reshape(n * t_out, c_out)
         if scratch is None:
-            return einsum_cached("not,ncit->oci", grad, patches)
+            return np.matmul(pmat, gmat).reshape(c_in, k, c_out) \
+                .transpose(2, 0, 1)
         dtype = np.result_type(grad, patches)
+        prod, _ = scratch_buffer(scratch, "gw_cko", (c_in * k, c_out), dtype)
         gw, _ = scratch_buffer(scratch, "gw", tuple(w_shape), dtype)
-        return einsum_cached("not,ncit->oci", grad, patches, out=gw)
+        np.matmul(pmat, gmat, out=prod)
+        np.copyto(gw, prod.reshape(c_in, k, c_out).transpose(2, 0, 1))
+        return gw
 
     # -- stacked (leading model axis M) kernels: the same lowering, with
     # the model axis folded into numpy's batched-matmul loop, so M small

@@ -11,16 +11,27 @@ straight-line Python source** and compiled once.
 In the generated function
 
 * slots become local variables (``v17``), so there is no slot table;
-* op kernels become closure-bound callables (``f3``) called directly — no
+* op kernels become closure-bound callables (``k3``) called directly — no
   dict dispatch, no per-node attribute lookups, no kind compare;
 * fused chains, arena buffers, scratch dicts and gradient buffers are
   preallocated objects bound into the closure (``b3`` / ``s3`` / ``G12``),
   so the zero-steady-state-allocation guarantee of the memory planner is
   preserved bit for bit;
-* the precomputed backward schedule is unrolled in source order, with the
-  runner's adopt-or-copy gradient discipline emitted inline per route; and
+* the precomputed backward schedule is unrolled in source order, each
+  gradient route one call of a routing helper that carries the runner's
+  adopt-or-copy discipline (``_ad`` / ``_cp`` / ``_ac``); and
 * side-effect nodes (BatchNorm running-stat updates) are emitted in place,
   exactly where the schedule recorded them.
+
+**Compact emission.**  ``compile()`` cost grows with the text, so the
+text is kept small: the closure is one tuple unpacked in a single line
+(each distinct kernel, attrs dict or needs tuple bound once, however many
+ops share it), an op is one call line with its dtype guard (``_as``)
+beside it, a value an op writes into an out-buffer or over a dying input
+is read through that name rather than copied to a new local, a gradient
+route is one line, and the body is indented by two spaces
+(``tests/test_graph_codegen.py`` holds the TEMPONet seed's three PIT step
+programs to a size budget).
 
 Because the source invokes the *same* kernels, in the *same* order, with the
 same dtype coercions and the same gradient-accumulation routing as the
@@ -52,7 +63,6 @@ import numpy as np
 
 from .executor import (
     _K_EFFECT,
-    _K_FWD,
     _K_INPLACE,
     _K_OUT,
     _K_SCRATCH,
@@ -137,107 +147,175 @@ def _record_source(program: GraphProgram, source: str) -> None:
 # Emission
 # ----------------------------------------------------------------------
 
+# Gradient routing helpers, bound into every step closure.  Each is one
+# route of the runner's adopt-or-copy discipline as a call, so a route
+# costs one short line of generated text.
+
+def _adopt(t, cur, gsrc, buf):
+    """First and sole contribution: adopt a fresh kernel-owned array,
+    else normalize it into ``buf``; ``None`` keeps ``cur``."""
+    if t is None:
+        return cur
+    if t.base is None and t is not gsrc and t.dtype == buf.dtype:
+        return t
+    return np.add(t, 0.0, out=buf)
+
+
+def _copy(t, cur, buf):
+    """First of several contributions: ``0.0 + t`` into ``buf``."""
+    return cur if t is None else np.add(t, 0.0, out=buf)
+
+
+def _accumulate(t, g):
+    """A later contribution: accumulate in place."""
+    if t is not None:
+        g += t
+    return g
+
+
+def _dealias(t, a, b, buf):
+    """A fused external gradient that aliases the chain's gradient
+    source or the previous external gradient is copied into ``buf``."""
+    if t is not None and (t is a or t is b):
+        np.copyto(buf, t)
+        return buf
+    return t
+
+
+class _Closure:
+    """The closure environment of one generated function.
+
+    Every value-like object gets a short name; objects bound twice share
+    one name (identity, or an explicit value ``key`` for immutable
+    tuples), so the text stays small and still encodes structure only.
+    """
+
+    def __init__(self):
+        self.names: List[str] = []
+        self.values: List[object] = []
+        self._taken = set()
+        self._shared: Dict[object, str] = {}
+        self._counts: Dict[str, int] = {}
+
+    def fixed(self, name: str, value) -> str:
+        if name in self._taken:
+            raise LoweringError(f"closure name collision: {name}")
+        self._taken.add(name)
+        self.names.append(name)
+        self.values.append(value)
+        return name
+
+    def ref(self, prefix: str, value, key=None) -> str:
+        key = ("id", id(value)) if key is None else key
+        name = self._shared.get(key)
+        if name is None:
+            n = self._counts.get(prefix, 0)
+            self._counts[prefix] = n + 1
+            name = self._shared[key] = self.fixed(f"{prefix}{n}", value)
+        return name
+
+    def count(self, prefix: str) -> int:
+        """How many distinct values were bound under ``prefix``."""
+        return self._counts.get(prefix, 0)
+
+    def source(self, signature: str, body: List[str]) -> str:
+        """``_factory(C)`` unpacking the closure tuple ``C`` into cells
+        and returning the generated function."""
+        return "\n".join(
+            ["def _factory(C):", " " + ", ".join(self.names) + ", = C",
+             f" def {signature}:"]
+            + ["  " + line for line in body] + [" return run", ""])
+
+
 def _emit_fused_forward(i: int, op: FusedOp, ext, out_slot: int, dtype,
-                        bind, emit) -> None:
+                        env: _Closure, val: Dict[int, str],
+                        interior: Dict[Tuple[int, int], str], emit) -> None:
     """Unroll one fused chain's forward into the body.
 
-    Mirrors :meth:`FusedOp.fwd_scratch` line for line — same sub-kernel
-    order, same per-sub dtype coercion — but with the gather indices
-    resolved into argument lists at lowering time and interior values held
-    in locals (``u{i}_{j}``) that the unrolled backward reads directly.
+    Mirrors :meth:`FusedOp.fwd_scratch` — same sub-kernel order, same
+    per-sub dtype coercion — with the gather indices resolved into
+    argument lists at lowering time and interior values named in
+    ``interior`` (locals, or the out-buffer itself) for the unrolled
+    backward to read.
     """
+    def arg(k: int) -> str:
+        return val[ext[k]] if k >= 0 else interior[(i, ~k)]
+
     last = len(op._fwd_plan) - 1
     for j, (skind, sfn, sattrs, gather, sextra) in enumerate(op._fwd_plan):
-        args = ", ".join(f"v{ext[k]}" if k >= 0 else f"u{i}_{~k}"
-                         for k in gather)
-        bind(f"k{i}_{j}", sfn)
-        bind(f"ka{i}_{j}", sattrs)
+        call = (f"{env.ref('k', sfn)}([{', '.join(map(arg, gather))}], "
+                f"{env.ref('a', sattrs)}")
         if skind == FusedOp._F_OUT:
-            bind(f"kb{i}_{j}", sextra)
-            emit(f"c{i}_{j} = k{i}_{j}([{args}], ka{i}_{j}, kb{i}_{j})")
-            emit(f"u{i}_{j} = kb{i}_{j}")
+            buf = env.ref("b", sextra)
+            emit(f"c{i}_{j} = {call}, {buf})")
+            interior[(i, j)] = buf
         elif skind in (FusedOp._F_FWD, FusedOp._F_SCRATCH):
             if skind == FusedOp._F_SCRATCH:
-                bind(f"ks{i}_{j}", sextra)
-                emit(f"o, c{i}_{j} = k{i}_{j}([{args}], ka{i}_{j}, "
-                     f"ks{i}_{j})")
-            else:
-                emit(f"o, c{i}_{j} = k{i}_{j}([{args}], ka{i}_{j})")
-            emit(f"if not _isinstance(o, _nd) or o.dtype != _dt:")
-            emit(f"    o = _asarray(o, _dt)")
-            emit(f"u{i}_{j} = o")
+                call += f", {env.ref('s', sextra)}"
+            emit(f"o, c{i}_{j} = {call}); u{i}_{j} = _as(o, _dt)")
+            interior[(i, j)] = f"u{i}_{j}"
         else:
             raise LoweringError(f"unknown fused forward kind {skind}")
-    emit(f"v{out_slot} = u{i}_{last}")
+    val[out_slot] = interior[(i, last)]
     # The runner's own post-call coercion is a no-op except when the chain
     # ends in a preallocated out-buffer of a non-program dtype.
     lkind, _lfn, _lattrs, _lgather, lextra = op._fwd_plan[last]
     if lkind == FusedOp._F_OUT and lextra.dtype != dtype:
-        emit(f"v{out_slot} = _asarray(v{out_slot}, _dt)")
+        emit(f"v{out_slot} = _as({val[out_slot]}, _dt)")
+        val[out_slot] = f"v{out_slot}"
 
 
 def _emit_fused_backward(i: int, op: FusedOp, ext, gsrc: str, acc,
-                         slot_meta, route_grad, bind, emit) -> None:
+                         slot_meta, env: _Closure, val: Dict[int, str],
+                         interior: Dict[Tuple[int, int], str], route_grad,
+                         emit) -> None:
     """Unroll one fused chain's backward into the body.
 
     Mirrors :meth:`FusedOp.bwd` with every plan constant folded into the
-    text: interior grads become locals (``h{i}_{p}``), the adopt-or-copy
-    buffers (lazy ``_igbufs`` / ``_xbufs`` dicts in the wrapper) become
-    preallocated closure arrays (``IB`` / ``XB``), and each external
-    gradient is routed into its slot immediately — sub-kernels never read
-    slot gradient buffers, so routing in place of the wrapper's deferred
-    flat list is value-identical.
+    text: interior grads become locals (``h{i}_{p}``, unbound reading as
+    ``None``), the adopt-or-copy buffers (lazy ``_igbufs`` / ``_xbufs``
+    dicts in the wrapper) become preallocated closure arrays, and each
+    external gradient is routed into its slot immediately — sub-kernels
+    never read slot gradient buffers, so routing in place of the wrapper's
+    deferred flat list is value-identical.
     """
+    def arg(k: int) -> str:
+        return val[ext[k]] if k >= 0 else interior[(i, ~k)]
+
     last = len(op.sub) - 1
-    live = ({t for entry in op.bwd_plan for r in entry[5] for t in (r[1],)}
-            | {entry[0] for entry in op.bwd_plan if entry[0] != last})
-    for p in sorted(live):
-        emit(f"h{i}_{p} = None")
+    bound = set()
     fidx = 0
     for m, (pos, sfn, sattrs, gather, sneeds, int_routes, ext_routes,
             sscratch) in enumerate(op.bwd_plan):
-        gname = gsrc if pos == last else f"h{i}_{pos}"
-        args = ", ".join(f"v{ext[k]}" if k >= 0 else f"u{i}_{~k}"
-                         for k in gather)
-        bind(f"qk{i}_{m}", sfn)
-        bind(f"qa{i}_{m}", sattrs)
-        bind(f"qn{i}_{m}", sneeds)
-        call = (f"qk{i}_{m}({gname}, [{args}], u{i}_{pos}, c{i}_{pos}, "
-                f"qa{i}_{m}, qn{i}_{m}")
+        gname = gsrc if pos == last else (
+            f"h{i}_{pos}" if pos in bound else "None")
+        call = (f"{env.ref('k', sfn)}({gname}, "
+                f"[{', '.join(map(arg, gather))}], {interior[(i, pos)]}, "
+                f"c{i}_{pos}, {env.ref('a', sattrs)}, "
+                f"{env.ref('n', sneeds, key=('n', sneeds))}")
         if sscratch is not None:
-            bind(f"qz{i}_{m}", sscratch)
-            call += f", qz{i}_{m}"
+            call += f", {env.ref('z', sscratch)}"
         emit(f"r = {call})")
         # Interior gradients: the wrapper's adopt-or-copy with the
         # first/sole flags and copy buffers resolved at lowering time.
         for gidx, target, first, sole, rdtype, rshape in int_routes:
-            emit(f"t = r[{gidx}]")
             hname = f"h{i}_{target}"
             if not first:
-                emit(f"if t is not None:")
-                emit(f"    {hname} += t")
+                emit(f"{hname} = _ac(r[{gidx}], "
+                     f"{hname if target in bound else 'None'})")
                 continue
-            ib = bind(f"IB{i}_{target}", np.empty(rshape, rdtype))
+            ib = env.ref("I", np.empty(rshape, rdtype))
             if sole:
-                dn = bind(f"di{i}_{target}", rdtype)
-                emit(f"if t is None:")
-                emit(f"    pass")
-                emit(f"elif t.base is None and t is not {gname} "
-                     f"and t.dtype == {dn}:")
-                emit(f"    {hname} = t")
-                emit(f"else:")
-                emit(f"    _add(t, 0.0, out={ib})")
-                emit(f"    {hname} = {ib}")
+                emit(f"{hname} = _ad(r[{gidx}], None, {gname}, {ib})")
             else:
-                emit(f"if t is not None:")
-                emit(f"    _add(t, 0.0, out={ib})")
-                emit(f"    {hname} = {ib}")
+                emit(f"{hname} = _cp(r[{gidx}], None, {ib})")
+            bound.add(target)
         # External gradients: de-alias exactly like the wrapper (never hand
         # one array to two accumulation targets, nor the sub-step's own
         # gradient source), then route into the slot straight away.
         single = len(ext_routes) == 1
         if not single and ext_routes:
-            emit(f"p = None")
+            emit("p = None")
         for gidx in ext_routes:
             target = acc[fidx]
             fidx += 1
@@ -246,155 +324,140 @@ def _emit_fused_backward(i: int, op: FusedOp, ext, gsrc: str, acc,
                 raise LoweringError(
                     f"external grad route {m}/{gidx} reads interior slot")
             shape, sdtype = slot_meta[ext[k]]
-            xb = bind(f"XB{i}_{m}_{gidx}", np.empty(shape, sdtype))
-            emit(f"t = r[{gidx}]")
-            emit(f"if t is not None:")
-            alias = (f"t is {gname}" if single
-                     else f"t is {gname} or t is p")
-            emit(f"    if {alias}:")
-            emit(f"        _copyto({xb}, t)")
-            emit(f"        t = {xb}")
+            xb = env.ref("X", np.empty(shape, sdtype))
+            emit(f"t = _xa(r[{gidx}], {gname}, "
+                 f"{gname if single else 'p'}, {xb})")
             if not single:
-                emit(f"    p = t")
-            route_grad(target, gsrc)
+                emit("if t is not None: p = t")
+            route_grad(target, "t", gsrc)
     if fidx != len(acc):
         raise LoweringError(
             f"fused backward routed {fidx} external grads, expected "
             f"{len(acc)}")
 
 
-def _emit(runner: _ProgramRunner) -> Tuple[str, Dict[str, object]]:
-    """Lower one runner's plans into (source text, closure environment).
+def _step_helpers(env: _Closure, dtype) -> None:
+    """Fixed helpers every step function reads: bound as closure cells
+    so the generated body needs no globals and no builtins."""
+    env.fixed("_as", np.asarray)
+    env.fixed("_float", float)
+    env.fixed("_nparray", np.array)
+    env.fixed("_dt", dtype)
+    env.fixed("_ad", _adopt)
+    env.fixed("_cp", _copy)
+    env.fixed("_ac", _accumulate)
+    env.fixed("_xa", _dealias)
 
-    The source defines ``_factory(C)`` which binds every ``C`` entry to a
-    closure cell and returns the specialized ``run(inputs)``.  Everything
-    value-like goes through ``C``; the text encodes structure only.
+
+def _emit(runner: _ProgramRunner) -> Tuple[str, Tuple, int]:
+    """Lower one runner's plans into (source, closure tuple, buffer count).
+
+    The source defines ``_factory(C)`` which unpacks the closure tuple
+    ``C`` into cells and returns the specialized ``run(inputs)``.
+    Everything value-like goes through ``C``; the text encodes structure
+    only.  The buffer count is the number of preallocated fused-chain
+    copy buffers (see :attr:`SourceRunner.persistent_buffers`).
+
+    Value names: slot ``s`` is ``v{s}`` when the body computes it, or the
+    closure name of the out-buffer an op writes it into; forward-op
+    contexts are ``c{i}``; slot gradients are ``g{s}`` (their persistent
+    buffers are closure names ``G…``).  The dtype guard mirrors the ``Tensor()`` coercion of eager
+    dispatch: ``np.asarray`` returns a program-dtype array itself.
     """
     program = runner.program
-    env: Dict[str, object] = {}
-
-    def bind(name: str, value) -> str:
-        if name in env:
-            raise LoweringError(f"closure name collision: {name}")
-        env[name] = value
-        return name
-
-    # Fixed helpers.  Bound as closure cells so the generated body needs no
-    # globals and no builtins.
-    bind("_nd", np.ndarray)
-    bind("_isinstance", isinstance)
-    bind("_asarray", np.asarray)
-    bind("_add", np.add)
-    bind("_copyto", np.copyto)
-    bind("_float", float)
-    bind("_nparray", np.array)
-    bind("_dt", program.dtype)
-
+    env = _Closure()
+    _step_helpers(env, program.dtype)
     body: List[str] = []
     emit = body.append
+    val: Dict[int, str] = {}
 
     # -- leaves: re-read by tensor reference every call (the optimizer
-    # swaps / mutates parameter storage between steps).
-    for j, (slot, t) in enumerate(program.leaves):
-        bind(f"L{j}", t)
-        emit(f"v{slot} = L{j}.data")
+    # swaps / mutates parameter storage between steps).  The step inputs
+    # are rebound below, so their leaf entries are skipped.
+    inputs = set(program.input_slots)
+    for slot, t in program.leaves:
+        if slot not in inputs:
+            emit(f"v{slot} = {env.ref('L', t)}.data")
+            val[slot] = f"v{slot}"
 
     # -- batch inputs: rebound per call, coerced to the trace dtype.
     for j, slot in enumerate(program.input_slots):
-        emit(f"t = inputs[{j}]")
-        emit(f"if t.dtype != _dt:")
-        emit(f"    t = t.astype(_dt)")
-        emit(f"v{slot} = t")
+        emit(f"v{slot} = inputs[{j}]")
+        emit(f"if v{slot}.dtype != _dt: v{slot} = v{slot}.astype(_dt)")
+        val[slot] = f"v{slot}"
 
     # -- forward sweep, effects interleaved in recorded order.  Fused
     # chains are not called through their FusedOp wrapper: the wrapper's
     # sub-op loop, gather indexing and kind dispatch are themselves
     # interpreter machinery, so each chain is unrolled into the body with
-    # interior values as locals (`u3_1`) shared straight into the unrolled
-    # backward — no ctx tuples are ever built for a fused node.
+    # interior values shared straight into the unrolled backward — no ctx
+    # tuples are ever built for a fused node.
     ctx_name: Dict[int, str] = {}
     fused_chain: Dict[int, int] = {}      # id(node) -> fwd plan index
+    interior: Dict[Tuple[int, int], str] = {}
     for i, (kind, fn, attrs, in_slots, out_slot, node, extra) \
             in enumerate(runner._fwd_plan):
-        ins = "[" + ", ".join(f"v{s}" for s in in_slots) + "]"
+        ins = ", ".join(val[s] for s in in_slots)
         if kind == _K_EFFECT:
-            bind(f"e{i}", fn)
-            emit(f"e{i}({', '.join(f'v{s}' for s in in_slots)})")
+            emit(f"{env.ref('e', fn)}({ins})")
             continue
         if kind == _K_SCRATCH and type(node.op) is FusedOp:
             _emit_fused_forward(i, node.op, in_slots, out_slot,
-                                program.dtype, bind, emit)
+                                program.dtype, env, val, interior, emit)
             fused_chain[id(node)] = i
             continue
         ctx_name[id(node)] = f"c{i}"
-        bind(f"f{i}", fn)
-        bind(f"a{i}", attrs)
+        call = f"{env.ref('k', fn)}([{ins}], {env.ref('a', attrs)}"
         if kind == _K_OUT:
-            bind(f"b{i}", extra)
-            emit(f"c{i} = f{i}({ins}, a{i}, b{i})")
-            emit(f"v{out_slot} = b{i}")
+            buf = env.ref("b", extra)
+            emit(f"c{i} = {call}, {buf})")
+            val[out_slot] = buf
         elif kind == _K_INPLACE:
             # Planner-approved: overwrite the dying input in place.
-            buf = f"v{in_slots[extra]}"
-            emit(f"c{i} = f{i}({ins}, a{i}, {buf})")
-            emit(f"v{out_slot} = {buf}")
+            buf = val[in_slots[extra]]
+            emit(f"c{i} = {call}, {buf})")
+            val[out_slot] = buf
         else:
             if kind == _K_SCRATCH:
-                bind(f"s{i}", extra)
-                emit(f"o, c{i} = f{i}({ins}, a{i}, s{i})")
-            else:  # _K_FWD
-                emit(f"o, c{i} = f{i}({ins}, a{i})")
-            # Mirror the Tensor() dtype coercion of eager dispatch.
-            emit(f"if not _isinstance(o, _nd) or o.dtype != _dt:")
-            emit(f"    o = _asarray(o, _dt)")
-            emit(f"v{out_slot} = o")
+                call += f", {env.ref('s', extra)}"
+            emit(f"o, c{i} = {call}); v{out_slot} = _as(o, _dt)")
+            val[out_slot] = f"v{out_slot}"
 
-    # -- backward sweep: unrolled precomputed schedule.
-    # Bind every gradient local to its persistent buffer up front: a route
-    # whose kernel returns None leaves the previous binding in place,
-    # exactly like the interpreter's grad_bufs dict.
-    for slot in sorted(runner.grad_bufs):
-        bind(f"G{slot}", runner.grad_bufs[slot])
-        emit(f"g{slot} = G{slot}")
-    root = program.root_slot
-    emit(f"g{root}.fill(1.0)")
+    # -- backward sweep: unrolled precomputed schedule.  A slot's gradient
+    # local is first bound by its first route (or, if read before any
+    # route, to its persistent buffer) — the interpreter's grad_bufs
+    # binding, as a local.
+    bound = set()
 
-    # Route one gradient (local ``t``) into its slot with the runner's
-    # adopt-or-copy discipline, the first/sole flags folded into the text.
-    adoption_dtypes: Dict[int, str] = {}
+    def buf(slot: int) -> str:
+        return env.ref("G", runner.grad_bufs[slot], key=("G", slot))
 
-    def bind_dtype(slot: int) -> str:
-        dname = adoption_dtypes.get(slot)
-        if dname is None:
-            dname = adoption_dtypes[slot] = bind(
-                f"d{slot}", runner.grad_bufs[slot].dtype)
-        return dname
+    def grad(slot: int) -> str:
+        if slot not in bound:
+            emit(f"g{slot} = {buf(slot)}")
+            bound.add(slot)
+        return f"g{slot}"
 
-    def route_grad(target, gsrc: str) -> None:
+    if runner._bwd_plan:
+        emit(f"{grad(program.root_slot)}.fill(1.0)")
+
+    def route_grad(target, expr: str, gsrc: str) -> None:
+        """Route one gradient with the runner's adopt-or-copy discipline,
+        the first/sole flags folded into the choice of helper."""
         slot, first, sole = target
         if not first:
-            emit(f"if t is not None:")
-            emit(f"    g{slot} += t")
-        elif sole:
-            # Adopt a fresh kernel-owned array, else normalize into the
-            # persistent buffer — the interpreter's exact discipline.
-            dname = bind_dtype(slot)
-            emit(f"if t is None:")
-            emit(f"    pass")
-            emit(f"elif t.base is None and t is not {gsrc} "
-                 f"and t.dtype == {dname}:")
-            emit(f"    g{slot} = t")
-            emit(f"else:")
-            emit(f"    _add(t, 0.0, out=G{slot})")
-            emit(f"    g{slot} = G{slot}")
+            emit(f"g{slot} = _ac({expr}, {grad(slot)})")
+            return
+        g = buf(slot)
+        if sole:
+            emit(f"g{slot} = _ad({expr}, {g}, {gsrc}, {g})")
         else:
-            emit(f"if t is not None:")
-            emit(f"    _add(t, 0.0, out=G{slot})")
-            emit(f"    g{slot} = G{slot}")
+            emit(f"g{slot} = _cp({expr}, {g}, {g})")
+        bound.add(slot)
 
     for i, (bwd, attrs, in_slots, out_slot, node, needs, acc, scratch) \
             in enumerate(runner._bwd_plan):
-        gsrc = f"g{out_slot}"
+        gsrc = grad(out_slot)
         if type(node.op) is FusedOp:
             fi = fused_chain.get(id(node))
             if fi is None:
@@ -402,48 +465,52 @@ def _emit(runner: _ProgramRunner) -> Tuple[str, Dict[str, object]]:
                     f"fused backward step {i} has no inlined forward "
                     f"(node {node!r})")
             _emit_fused_backward(fi, node.op, in_slots, gsrc, acc,
-                                 program.slot_meta, route_grad, bind, emit)
+                                 program.slot_meta, env, val, interior,
+                                 route_grad, emit)
             continue
         ctx = ctx_name.get(id(node))
         if ctx is None:
             raise LoweringError(
                 f"backward step {i} has no forward ctx (node {node!r})")
-        bind(f"q{i}", bwd)
-        bind(f"y{i}", attrs)
-        bind(f"n{i}", needs)
-        ins = "[" + ", ".join(f"v{s}" for s in in_slots) + "]"
-        if scratch is None:
-            emit(f"r = q{i}({gsrc}, {ins}, v{out_slot}, {ctx}, y{i}, n{i})")
-        else:
-            bind(f"z{i}", scratch)
-            emit(f"r = q{i}({gsrc}, {ins}, v{out_slot}, {ctx}, y{i}, n{i}, "
-                 f"z{i})")
+        ins = ", ".join(val[s] for s in in_slots)
+        call = (f"{env.ref('k', bwd)}({gsrc}, [{ins}], {val[out_slot]}, "
+                f"{ctx}, {env.ref('a', attrs)}, "
+                f"{env.ref('n', needs, key=('n', needs))}")
+        if scratch is not None:
+            call += f", {env.ref('z', scratch)}"
+        emit(f"r = {call})")
         for k, target in enumerate(acc):
-            if target is None:
-                continue
-            emit(f"t = r[{k}]")
-            route_grad(target, gsrc)
+            if target is not None:
+                route_grad(target, f"r[{k}]", gsrc)
 
     # -- publish leaf gradients.
-    for j, (slot, t) in enumerate(program.grad_leaves):
-        bind(f"T{j}", t)
-        emit(f"T{j}.grad = g{slot}")
+    for slot, t in program.grad_leaves:
+        emit(f"{env.ref('L', t)}.grad = {grad(slot)}")
 
     # -- outputs: same scalarization as the interpreter.
     outs = ", ".join(
-        f"_float(v{slot})" if scalar else f"_nparray(v{slot}, copy=True)"
+        f"_float({val[slot]})" if scalar
+        else f"_nparray({val[slot]}, copy=True)"
         for slot, scalar in runner._out_plan)
     emit(f"return ({outs},)" if len(runner._out_plan) == 1
          else f"return ({outs})")
+    return (env.source("run(inputs)", body), tuple(env.values),
+            env.count("I") + env.count("X"))
 
-    lines = ["def _factory(C):"]
-    for name in env:
-        lines.append(f"    {name} = C[{name!r}]")
-    lines.append("    def run(inputs):")
-    for line in body:
-        lines.append("        " + line)
-    lines.append("    return run")
-    return "\n".join(lines) + "\n", env
+
+def _load(source: str, closure: Tuple, filename: str):
+    """Compile ``source`` (or reuse the cached code object) and bind it."""
+    global _CACHE_HITS, _CACHE_MISSES
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        _CACHE_MISSES += 1
+        code = compile(source, filename, "exec")
+        _CODE_CACHE[source] = code
+    else:
+        _CACHE_HITS += 1
+    namespace: Dict[str, object] = {"__builtins__": {}}
+    exec(code, namespace)
+    return namespace["_factory"](closure)
 
 
 def lower_program(runner: _ProgramRunner):
@@ -453,23 +520,12 @@ def lower_program(runner: _ProgramRunner):
     process-wide cache when an identically structured program was lowered
     before; only the closure binding (``_factory(C)``) runs per program.
     """
-    global _CACHE_HITS, _CACHE_MISSES
-    source, env = _emit(runner)
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        _CACHE_MISSES += 1
-        code = compile(source, "<repro-graph-codegen>", "exec")
-        _CODE_CACHE[source] = code
-    else:
-        _CACHE_HITS += 1
-    namespace: Dict[str, object] = {"__builtins__": {}}
-    exec(code, namespace)
-    run = namespace["_factory"](env)
+    source, closure, nbufs = _emit(runner)
+    run = _load(source, closure, "<repro-graph-codegen>")
     # The inlined fused chains replace the wrapper's lazy copy-buffer dicts
     # with preallocated closure arrays; expose the count so
     # ``persistent_buffers`` / ``alloc_stats`` keep accounting for them.
-    runner._n_lowered_bufs = sum(
-        1 for name in env if name.startswith(("IB", "XB")))
+    runner._n_lowered_bufs = nbufs
     _record_source(runner.program, source)
     return run, source
 
@@ -505,101 +561,68 @@ _ProgramRunner.exec_mode = "interp"
 # Epoch lowering: a LoopNode as a real `for` loop in generated source
 # ----------------------------------------------------------------------
 
-def _emit_epoch(runner) -> Tuple[str, Dict[str, object]]:
-    """Lower one epoch loop runner into (source text, closure environment).
+def _emit_epoch(runner) -> Tuple[str, Tuple]:
+    """Lower one epoch loop runner into (source text, closure tuple).
 
     The generated function is the whole-epoch hot path: a real ``for``
     loop over the batch pairs calling the (already lowered) body function,
     with the clip kernel and every optimizer update kernel emitted inline
-    after it — no trainer Python between batches.  As with per-step
-    lowering, the text encodes structure only (spec count, state arity,
-    group wiring, clip membership, tail presence); params, kernels, state
-    arrays and the body callables all bind through the closure, so
+    after it — no trainer Python between batches.  It adds each batch's
+    task loss to the starting total the runner hands over in the
+    one-slot list ``_start`` and returns the sum.  As with
+    per-step lowering, the text encodes structure only (spec count, state
+    arity, group wiring, clip membership, tail presence); params, kernels,
+    state arrays and the body callables all bind through the closure, so
     structurally identical phases share one code object.
     """
-    env: Dict[str, object] = {}
-
-    def bind(name: str, value) -> str:
-        if name in env:
-            raise LoweringError(f"closure name collision: {name}")
-        env[name] = value
-        return name
-
-    bind("_body", runner.body_runner.run)
+    env = _Closure()
+    env.fixed("_start", runner._start)
+    env.fixed("_body", runner.body_runner.run)
     has_tail = runner.tail_runner is not None
     if has_tail:
-        bind("_tail", runner.tail_runner.run)
+        env.fixed("_tail", runner.tail_runner.run)
 
     # Hyperparameter groups, deduplicated by identity: hoisted once per
-    # epoch so between-epoch scheduler set_lr calls stay visible.
-    group_idx: Dict[int, int] = {}
+    # call so between-epoch scheduler set_lr calls stay visible.
     prologue: List[str] = []
+    groups: Dict[int, str] = {}
     for spec in runner.specs:
-        gid = id(spec.group)
-        if gid not in group_idx:
-            g = group_idx[gid] = len(group_idx)
-            bind(f"_grp{g}", spec.group)
-            bind(f"_hy{g}", spec.hyper)
-            prologue.append(f"h{g} = _hy{g}(_grp{g})")
+        if id(spec.group) not in groups:
+            h = groups[id(spec.group)] = f"h{len(groups)}"
+            prologue.append(f"{h} = {env.ref('y', spec.hyper)}("
+                            f"{env.ref('G', spec.group)})")
 
     # The per-batch update block, emitted twice (loop body + tail).
     updates: List[str] = []
     if runner.grad_clip is not None:
-        bind("_clip", runner.clip_kernel)
-        bind("_mn", runner.grad_clip)
-        grads = ", ".join(
-            bind(f"_c{j}", p) + ".grad"
-            for j, p in enumerate(runner.clip_params))
-        updates.append(f"_clip([{grads}], _mn)")
-    for i, spec in enumerate(runner.specs):
-        bind(f"_k{i}", spec.kernel)
-        bind(f"_p{i}", spec.param)
+        grads = ", ".join(f"{env.ref('c', p)}.grad"
+                          for p in runner.clip_params)
+        updates.append(f"{env.fixed('_clip', runner.clip_kernel)}("
+                       f"[{grads}], {env.fixed('_mn', runner.grad_clip)})")
+    for spec in runner.specs:
+        p = env.ref("p", spec.param)
         if hasattr(spec.param, "resync"):
             # Flat-packed param: re-adopt any member storage rebound
             # between epochs before replaying against the pack.
-            prologue.append(f"_p{i}.resync()")
-        state = "".join(
-            bind(f"_s{i}_{j}", a) + ", "
-            for j, a in enumerate(spec.state))
-        g = group_idx[id(spec.group)]
-        updates.append(f"_k{i}(_p{i}.data, _p{i}.grad, {state}*h{g})")
+            prologue.append(f"{p}.resync()")
+        state = "".join(f"{env.ref('s', a)}, " for a in spec.state)
+        updates.append(f"{env.ref('k', spec.kernel)}({p}.data, {p}.grad, "
+                       f"{state}*{groups[id(spec.group)]})")
 
     acc = runner.acc_index
     if runner.vector_m is None:
-        init_total = "total = 0.0"
         accumulate = f"total += o[{acc}]"
     else:
-        bind("_npz", np.zeros)
-        bind("_m", runner.vector_m)
-        bind("_asarray", np.asarray)
-        init_total = "total = _npz(_m)"
-        accumulate = f"total += _asarray(o[{acc}])"
+        env.fixed("_as", np.asarray)
+        accumulate = f"total += _as(o[{acc}])"
 
-    body: List[str] = list(prologue)
-    body.append(init_total)
-    body.append("n = 0")
-    body.append("for pair in bodies:")
-    body.append("    o = _body(pair)")
-    for line in updates:
-        body.append("    " + line)
-    body.append("    " + accumulate)
-    body.append("    n += 1")
+    body = ["total = _start.pop()"] + prologue + ["for pair in bodies:",
+                                                  " o = _body(pair)"]
+    body += [" " + line for line in updates] + [" " + accumulate]
     if has_tail:
-        body.append("o = _tail(tail)")
-        for line in updates:
-            body.append(line)
-        body.append(accumulate)
-        body.append("n += 1")
-    body.append("return (total, n)")
-
-    lines = ["def _factory(C):"]
-    for name in env:
-        lines.append(f"    {name} = C[{name!r}]")
-    lines.append("    def run(bodies, tail):")
-    for line in body:
-        lines.append("        " + line)
-    lines.append("    return run")
-    return "\n".join(lines) + "\n", env
+        body += ["o = _tail(tail)"] + updates + [accumulate]
+    body.append("return total")
+    return env.source("run(bodies, tail)", body), tuple(env.values)
 
 
 def lower_epoch(runner):
@@ -609,18 +632,8 @@ def lower_epoch(runner):
     process-wide cache as per-step programs (the epoch text is its own
     structural signature).
     """
-    global _CACHE_HITS, _CACHE_MISSES
-    source, env = _emit_epoch(runner)
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        _CACHE_MISSES += 1
-        code = compile(source, "<repro-graph-codegen-epoch>", "exec")
-        _CODE_CACHE[source] = code
-    else:
-        _CACHE_HITS += 1
-    namespace: Dict[str, object] = {"__builtins__": {}}
-    exec(code, namespace)
-    run = namespace["_factory"](env)
+    source, closure = _emit_epoch(runner)
+    run = _load(source, closure, "<repro-graph-codegen-epoch>")
     _record_source(runner.program, source)
     return run, source
 
@@ -637,5 +650,11 @@ class SourceEpochRunner(_LoopRunner):
 
     def __init__(self, *args):
         super().__init__(*args)
+        self._start: list = []
         self._run, self.source = lower_epoch(self)
-        self.run = self._run
+
+    def run(self, bodies, tail, total):
+        # The generated ``run(bodies, tail)`` takes its starting total
+        # through the one-slot ``_start`` list bound in its closure.
+        self._start.append(total)
+        return self._run(bodies, tail)

@@ -43,11 +43,12 @@ compile their own step.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..tensor import Tensor, get_default_dtype
+from ..tensor import Tensor, get_default_dtype, no_grad
 from .capture import capture
 from .ir import GraphCaptureError, GraphProgram, OpNode, build_program
 from .passes import FusedOp, OptStats, optimize_program, resolve_graph_opt
@@ -112,15 +113,20 @@ class EagerStep:
     ``backward()`` on its first output (leaving ``.grad`` populated), and
     returns the outputs as floats/arrays — the exact contract of
     :class:`CompiledStep`, so trainers can hold either interchangeably.
+    With ``backward=False`` the step runs under ``no_grad`` and only
+    evaluates (validation).
     """
 
-    def __init__(self, step_fn: Callable):
+    def __init__(self, step_fn: Callable, backward: bool = True):
         self.step_fn = step_fn
+        self.backward = backward
 
     def __call__(self, x, y) -> Tuple:
-        outs = self.step_fn(Tensor(x), Tensor(y))
+        with nullcontext() if self.backward else no_grad():
+            outs = self.step_fn(Tensor(x), Tensor(y))
         outs = outs if isinstance(outs, tuple) else (outs,)
-        outs[0].backward()
+        if self.backward:
+            outs[0].backward()
         return tuple(_scalarize(o.data) for o in outs)
 
 
@@ -261,7 +267,8 @@ class _ProgramRunner:
 
         # Backward sweep: precomputed schedule, preallocated buffers.
         grad_bufs = self.grad_bufs
-        grad_bufs[program.root_slot].fill(1.0)
+        if self._bwd_plan:
+            grad_bufs[program.root_slot].fill(1.0)
         for bwd, attrs, in_slots, out_slot, node, needs, acc, scratch \
                 in self._bwd_plan:
             gsrc = grad_bufs[out_slot]
@@ -325,6 +332,10 @@ class CompiledStep:
         ``REPRO_GRAPH_EXEC``.  A program that fails to lower falls back to
         the interpreter (see :attr:`exec_fallbacks`); correctness never
         depends on codegen.
+    backward:
+        False captures a *forward-only* step (validation): traced and
+        replayed under ``no_grad``, with no backward schedule and no
+        gradient writes — the same capture, passes and lowering.
 
     Calls return the step outputs as floats (scalars) / arrays, with
     parameter ``.grad`` populated — the same contract as
@@ -332,14 +343,15 @@ class CompiledStep:
     """
 
     def __init__(self, step_fn: Callable, optimize: Optional[str] = None,
-                 graph_exec: Optional[str] = None):
+                 graph_exec: Optional[str] = None, backward: bool = True):
         self.step_fn = step_fn
+        self.backward = backward
         self.optimize = resolve_graph_opt(optimize)
         self.graph_exec = resolve_graph_exec(graph_exec)
         self._runners: Dict[Tuple, _ProgramRunner] = {}
         self._opt_stats: Dict[Tuple, OptStats] = {}
         self._buffer_mark: Optional[int] = None
-        self._eager = EagerStep(step_fn)  # fallback path, built once
+        self._eager = EagerStep(step_fn, backward)  # fallback, built once
         self.fallback_reason: Optional[str] = None
         # Per-program lowering failures (source executor only): key -> why
         # that program replays through the interpreter instead.
@@ -465,9 +477,11 @@ class CompiledStep:
             tx, ty = Tensor(x), Tensor(y)
             tracer.add_input(tx)
             tracer.add_input(ty)
-            outs = self.step_fn(tx, ty)
+            with nullcontext() if self.backward else no_grad():
+                outs = self.step_fn(tx, ty)
             outs = outs if isinstance(outs, tuple) else (outs,)
-            outs[0].backward()
+            if self.backward:
+                outs[0].backward()
         values = tuple(_scalarize(o.data) for o in outs)
         if tracer.failure is not None:
             self.fallback_reason = tracer.failure

@@ -207,8 +207,10 @@ def build_program(tracer, loss, outputs) -> GraphProgram:
         raise GraphCaptureError("the loss tensor was not produced by a recorded op")
 
     # Backward schedule: same topological order as eager backward, same
-    # per-parent accumulation order — gradient sums are bit-identical.
-    touched = {root_slot}
+    # per-parent accumulation order — gradient sums are bit-identical.  A
+    # loss that requires no grad (a forward-only capture under no_grad)
+    # yields an empty schedule and no gradient slots.
+    touched = {root_slot} if loss.requires_grad else set()
     contributions: Dict[int, int] = {}
     raw_steps = []
     for t in reversed(_topo_sort(loss)):

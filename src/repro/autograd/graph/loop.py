@@ -20,6 +20,18 @@ mask are loop-carried arrays mutated in place, exactly as the eager path
 mutates them — so a replayed epoch is bit-identical to driving the same
 step per batch, which is itself bit-identical to eager execution.
 
+**First-epoch replay.**  No epoch runs eagerly end to end.  The first
+epoch of a batch signature *drives* only the batch that traces the body
+(one eager optimizer step), builds the loop runner at once and replays the
+rest of that same epoch through it.  A ragged tail whose epilogue is not
+traced yet is driven last, which traces it; the next epoch's runner then
+carries the epilogue.  State is shared by reference, so switching from the
+driven step to the loop mid-epoch changes no bit, and the epoch's loss
+total continues from the driven batch's partial sum in eager order.
+:attr:`CompiledEpoch.driven_epochs` counts the epochs that traced (or fell
+back); :attr:`CompiledEpoch.replayed_epochs` those that ran entirely
+through a loop runner.
+
 **Fallback ladder** (never worse than the level below):
 
 1. *loop* — every condition met: compiled step, shape-uniform batches
@@ -50,12 +62,14 @@ __all__ = ["CompiledEpoch"]
 class _LoopRunner:
     """Interpreted replay of one :class:`LoopNode`: the epoch loop itself.
 
-    ``run(bodies, tail)`` replays the body once per batch pair, then the
-    post-batch updates — clip kernel over the grad-leaf gradients (read
-    fresh each batch: replay may *adopt* a new gradient array) and the
-    optimizer's update kernels in eager ``step()`` order — and accumulates
-    the task loss.  Hyperparameters are hoisted once per epoch, so
-    between-epoch scheduler ``set_lr`` calls stay visible.
+    ``run(bodies, tail, total)`` replays the body once per batch pair,
+    then the post-batch updates — clip kernel over the grad-leaf gradients
+    (read fresh each batch: replay may *adopt* a new gradient array) and
+    the optimizer's update kernels in eager ``step()`` order — and adds
+    each batch's task loss to ``total`` (0.0, ``np.zeros(M)``, or the
+    partial sum of batches driven earlier in the same epoch), returning
+    it.  Hyperparameters are hoisted once per call, so between-epoch
+    scheduler ``set_lr`` calls stay visible.
     """
 
     exec_mode = "interp"
@@ -75,38 +89,29 @@ class _LoopRunner:
         self.vector_m = vector_m
         self.acc_index = acc_index
 
-    def run(self, bodies: Sequence[Tuple], tail: Optional[Tuple]):
-        specs = self.specs
-        for s in specs:
+    def run(self, bodies: Sequence[Tuple], tail: Optional[Tuple], total):
+        for s in self.specs:
             sync = getattr(s.param, "resync", None)
             if sync is not None:
                 sync()
         updates = [(s.kernel, s.param, s.state, s.hyper(s.group))
-                   for s in specs]
+                   for s in self.specs]
         clip_params = self.clip_params
         grad_clip = self.grad_clip
         clip_kernel = self.clip_kernel
         acc = self.acc_index
-        total = 0.0 if self.vector_m is None else np.zeros(self.vector_m)
-        n = 0
-        body = self.body_runner.run
-        for pair in bodies:
+        scalar = self.vector_m is None
+        pairs = [(self.body_runner.run, pair) for pair in bodies]
+        if tail is not None:
+            pairs.append((self.tail_runner.run, tail))
+        for body, pair in pairs:
             o = body(pair)
             if grad_clip is not None:
                 clip_kernel([p.grad for p in clip_params], grad_clip)
             for kernel, p, state, hyper in updates:
                 kernel(p.data, p.grad, *state, *hyper)
-            total += o[acc] if self.vector_m is None else np.asarray(o[acc])
-            n += 1
-        if tail is not None:
-            o = self.tail_runner.run(tail)
-            if grad_clip is not None:
-                clip_kernel([p.grad for p in clip_params], grad_clip)
-            for kernel, p, state, hyper in updates:
-                kernel(p.data, p.grad, *state, *hyper)
-            total += o[acc] if self.vector_m is None else np.asarray(o[acc])
-            n += 1
-        return total, n
+            total += o[acc] if scalar else np.asarray(o[acc])
+        return total
 
 
 class CompiledEpoch:
@@ -140,8 +145,9 @@ class CompiledEpoch:
 
     ``run_batches(batches)`` returns the epoch's mean task loss, exactly
     like the eager per-batch loop it replaces.  The first epoch per batch
-    signature always drives (tracing the body — and the ragged tail —
-    through the step's own cache); later epochs replay.
+    signature drives only its tracing batch (and an untraced ragged tail)
+    through the step and replays everything else; later epochs replay
+    entirely.
     """
 
     def __init__(self, step, optimizer, grad_clip: Optional[float] = None,
@@ -216,38 +222,72 @@ class CompiledEpoch:
     def run_batches(self, batches: List[Tuple]):
         if not batches:
             raise ValueError("training loader produced no batches")
-        runner_and_split = self._loop_runner(batches)
-        if runner_and_split is None:
+        total = 0.0 if self.vector_m is None else np.zeros(self.vector_m)
+        signature = self._signature(batches)
+        if signature is None:
             self.driven_epochs += 1
-            return self._drive(batches)
-        runner, bodies, tail = runner_and_split
-        # One zero_grad per *epoch*, not per batch: replay republishes
-        # every grad-leaf gradient before anything reads it, and clearing
-        # here keeps optimizer params outside the program at grad=None —
-        # the exact membership the eager per-batch zero_grad produces.
-        self.optimizer.zero_grad()
-        self.replayed_epochs += 1
-        total, n = runner.run(bodies, tail)
-        return total / n
+            return self._drive(batches, total) / len(batches)
+        body_key, tail_key = signature
+        bodies = batches[:-1] if tail_key else batches
+        tail = batches[-1] if tail_key else None
+        traced = self.step._runners
+        driven = body_key not in traced
+        if driven:
+            # The first batch traces the body (one eager step); the loop
+            # takes over from the second.
+            total = self._drive(bodies[:1], total)
+            bodies = bodies[1:]
+        late_tail = None
+        if tail is not None and tail_key not in traced:
+            # Driven after the loop, which traces the epilogue; this
+            # epoch's runner carries no tail.
+            driven = True
+            late_tail, tail = tail, None
+        if bodies or tail is not None:
+            runner = self._runner(body_key,
+                                  tail_key if tail is not None else None,
+                                  keep=late_tail is None)
+            if runner is None:
+                driven = True
+                rest = bodies + ([tail] if tail is not None else [])
+                total = self._drive(rest, total)
+            else:
+                # One zero_grad per replay, not per batch: replay
+                # republishes every grad-leaf gradient before anything
+                # reads it, and clearing here keeps optimizer params
+                # outside the program at grad=None — the exact membership
+                # the eager per-batch zero_grad produces.
+                self.optimizer.zero_grad()
+                total = runner.run(bodies, tail, total)
+        if late_tail is not None:
+            total = self._drive([late_tail], total)
+        if driven:
+            self.driven_epochs += 1
+        else:
+            self.replayed_epochs += 1
+        return total / len(batches)
 
     # ------------------------------------------------------------------
-    def _drive(self, batches: List[Tuple]):
-        """The per-step ladder rung: replica of the eager epoch loop."""
+    def _drive(self, batches: List[Tuple], total):
+        """The per-step ladder rung: replica of the eager batch loop.
+
+        Adds each batch's task loss to ``total`` and returns it, so a
+        driven prefix and a replayed remainder sum in eager order.
+        """
         step = self.step
         optimizer = self.optimizer
         grad_clip = self.grad_clip
         clip_fn = self.clip_fn
         acc = self.acc_index
-        total = 0.0 if self.vector_m is None else np.zeros(self.vector_m)
+        scalar = self.vector_m is None
         for x, y in batches:
             optimizer.zero_grad()
             outs = step(x, y)
             if grad_clip is not None:
                 clip_fn(optimizer.params, grad_clip)
             optimizer.step()
-            total += outs[acc] if self.vector_m is None \
-                else np.asarray(outs[acc])
-        return total / len(batches)
+            total += outs[acc] if scalar else np.asarray(outs[acc])
+        return total
 
     # ------------------------------------------------------------------
     def _reject(self, reason: str, permanent: bool) -> None:
@@ -255,36 +295,41 @@ class CompiledEpoch:
         if permanent:
             self._disabled = True
 
-    def _loop_runner(self, batches: List[Tuple]):
-        """The loop runner for this epoch's batch signature, or None.
-
-        None means "drive this epoch per step" — either permanently
-        (:attr:`loop_fallback_reason`, ladder rung 2) or because the body
-        programs are not traced yet (the drive itself traces them).
-        """
+    def _loop_ready(self) -> bool:
+        """False (rejecting for good) when this phase can never loop."""
         if self._disabled:
-            return None
+            return False
         step = self.step
         if not isinstance(step, CompiledStep):
             self._reject("step is not compiled", permanent=True)
-            return None
+            return False
         if step.fallback_reason is not None:
             # The step itself cannot capture (e.g. mark_capture_unsafe):
             # rung 3 is the step's own business; the loop layer just
             # stops trying.
             self._reject(f"step fell back to eager: {step.fallback_reason}",
                          permanent=True)
-            return None
+            return False
         if getattr(self.optimizer, "capture_updates", None) is None:
             self._reject(
                 f"optimizer {type(self.optimizer).__name__} has no "
                 "capture_updates", permanent=True)
-            return None
+            return False
         if self.grad_clip is not None and self.clip_kernel is None:
             self._reject("grad clipping requested without a clip kernel",
                          permanent=True)
-            return None
+            return False
+        return True
 
+    def _signature(self, batches: List[Tuple]):
+        """``(body_key, tail_key)`` step-cache keys of this epoch, or None.
+
+        None means "drive this whole epoch per step" — either permanently
+        (:attr:`loop_fallback_reason`, ladder rung 2) or because the
+        interior batches do not share one shape.
+        """
+        if not self._loop_ready():
+            return None
         dtype = get_default_dtype()
         shapes = [(np.asarray(x).shape, np.asarray(y).shape)
                   for x, y in batches]
@@ -294,27 +339,27 @@ class CompiledEpoch:
                          permanent=False)
             return None
         has_tail = len(batches) > 1 and shapes[-1] != body_shape
-        body_key = body_shape + (dtype,)
-        tail_key = shapes[-1] + (dtype,) if has_tail else None
+        return body_shape + (dtype,), (shapes[-1] + (dtype,)
+                                       if has_tail else None)
+
+    def _runner(self, body_key, tail_key, keep: bool):
+        """The loop runner for a traced signature, built on first use.
+
+        ``keep=False`` builds a stand-in that is not cached: the tail-less
+        runner replaying a first epoch whose ragged tail is still untraced.
+        """
         key = (body_key, tail_key)
         runner = self._runners.get(key)
-        if runner is None:
+        if runner is None and self._loop_ready():
             runner = self._build_runner(key, body_key, tail_key)
-            if runner is None:
-                return None
-            self._runners[key] = runner
-        bodies = batches[:-1] if has_tail else batches
-        tail = batches[-1] if has_tail else None
-        return runner, bodies, tail
+            if runner is not None and keep:
+                self._runners[key] = runner
+        return runner
 
     def _build_runner(self, key, body_key, tail_key) -> Optional[_LoopRunner]:
         step = self.step
-        body_runner = step._runners.get(body_key)
-        if body_runner is None:
-            return None  # not traced yet: this epoch's drive traces it
-        tail_runner = step._runners.get(tail_key) if tail_key else None
-        if tail_key is not None and tail_runner is None:
-            return None
+        body_runner = step._runners[body_key]
+        tail_runner = step._runners[tail_key] if tail_key else None
         body_prog = body_runner.program
         tail_prog = tail_runner.program if tail_runner is not None else None
 

@@ -13,7 +13,8 @@ The pipeline (level ``"default"``) runs four passes, in order:
    matrices, scalar literals) are evaluated once at optimization time and
    their outputs bound as constant leaves.  Matters most in PIT phase 3,
    where freezing turns whole mask-product subgraphs constant.  Stateful
-   ops (``dropout`` carries an ``rng`` attribute) are never folded.
+   ops (``dropout`` carries an ``rng`` attribute, live buffer reads a
+   ``state`` attribute) are never folded.
 2. **Dead-node elimination** (:func:`eliminate_dead_nodes`) — ops whose
    outputs feed neither a step output, the backward pass, nor a recorded
    side effect are dropped.  Side-effect nodes (BatchNorm running-stat
@@ -133,9 +134,10 @@ def fold_constants(program: GraphProgram) -> int:
     already-folded op.  Folded outputs are bound as new constant leaves —
     re-running the same pure kernels on the same constant inputs at replay
     time would reproduce the same bits, so pre-evaluating them once cannot
-    change results.  Ops carrying an ``rng`` attribute (dropout) are
-    stateful and never folded; ops with a backward step never qualify
-    (their output requires grad, so some input was not constant).
+    change results.  Ops carrying an ``rng`` attribute (dropout) or a
+    ``state`` attribute (live module-buffer reads) are stateful and never
+    folded; ops with a backward step never qualify (their output requires
+    grad, so some input was not constant).
     """
     inputs = set(program.input_slots)  # leaves list includes the step inputs
     const: Dict[int, np.ndarray] = {
@@ -147,7 +149,7 @@ def fold_constants(program: GraphProgram) -> int:
     schedule = []
     for node in program.schedule:
         if (type(node) is OpNode and id(node) not in has_step
-                and "rng" not in node.attrs
+                and "rng" not in node.attrs and "state" not in node.attrs
                 and all(s in const for s in node.in_slots)):
             out, _ = node.op.fwd([const[s] for s in node.in_slots], node.attrs)
             # Mirror the Tensor() dtype coercion of eager dispatch.

@@ -48,6 +48,7 @@ __all__ = [
     "Tensor",
     "apply_op",
     "record_side_effect",
+    "buffer_value",
     "mark_capture_unsafe",
     "no_grad",
     "is_grad_enabled",
@@ -325,6 +326,38 @@ def record_side_effect(inputs: Sequence["Tensor"], fn: Callable) -> None:
     tracer = getattr(_TRACE_STATE, "tracer", None)
     if tracer is not None:
         tracer.record_effect(tuple(inputs), fn)
+
+
+def _buffer_fwd(ins, attrs):
+    module, name = attrs["state"]
+    # A copy, so no in-place replay of a consumer can write into the buffer.
+    return np.array(getattr(module, name).reshape(attrs["shape"]),
+                    dtype=get_default_dtype()), None
+
+
+def _buffer_bwd(g, ins, out, ctx, attrs, needs):
+    return ()
+
+
+# Zero-input read of a module buffer.  The "state" attribute marks the op
+# stateful, like dropout's "rng": the graph optimizer never constant-folds
+# it, so a compiled program reads the buffer's current value on every
+# replay instead of the one it had at trace time.
+_BUFFER = OpDef("buffer", _buffer_fwd, _buffer_bwd, bwd_uses=())
+
+
+def buffer_value(module, name: str, shape) -> "Tensor":
+    """``Tensor(getattr(module, name).reshape(shape))``, read live by
+    captured programs.
+
+    For module state a forward reads but does not differentiate (e.g.
+    BatchNorm's running statistics in eval mode), which training keeps
+    rebinding: eagerly this is just the tensor; under capture it is
+    recorded as a stateful op that re-reads the buffer on every replay.
+    """
+    if getattr(_TRACE_STATE, "tracer", None) is None:
+        return Tensor(getattr(module, name).reshape(shape))
+    return apply_op(_BUFFER, (), {"state": (module, name), "shape": shape})
 
 
 def mark_capture_unsafe(reason: str) -> None:

@@ -35,6 +35,7 @@ training starts* and the DSE engine falls back to the sequential path.
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from typing import Callable, Dict, List, Optional, Sequence
@@ -86,7 +87,7 @@ from .export import effective_parameters, network_dilations
 from .masks import TimeMask, lag_gamma_indices
 from .pit_conv import PITConv1d
 from .regularizer import gamma_size_coefficients
-from .trainer import DivergedError, PITResult
+from .trainer import DivergedError, PITResult, make_eval_step
 
 __all__ = [
     "StackedTimeMask",
@@ -532,6 +533,12 @@ class StackedPITTrainer:
                                 graph_exec=self.graph_exec)
         return EagerStep(step_fn)
 
+    def _make_eval_step(self) -> Optional[CompiledStep]:
+        """The compiled per-model validation forward, or None (eager)."""
+        return make_eval_step(self.stacked,
+                              functools.partial(per_model_loss, self.loss_fn),
+                              self.compile_config)
+
     def _make_epoch(self, step, optimizer) -> Optional[CompiledEpoch]:
         """The phase's whole-loop runner, or None when capture is off.
 
@@ -588,7 +595,8 @@ class StackedPITTrainer:
         return totals
 
     def _run_validation(self, val_view: EpochReplayLoader,
-                        cursors: List[int], active: List[bool]) -> np.ndarray:
+                        cursors: List[int], active: List[bool],
+                        step: Optional[CompiledStep] = None) -> np.ndarray:
         stacked = self.stacked
         was_training = stacked.net.training
         stacked.eval()
@@ -600,9 +608,12 @@ class StackedPITTrainer:
             for parts in zip(*iters):
                 x = np.stack([part[0] for part in parts])
                 y = np.stack([part[1] for part in parts])
-                vec = per_model_loss(self.loss_fn, stacked(Tensor(x)),
-                                     Tensor(y))
-                totals += np.asarray(vec.data, dtype=np.float64)
+                if step is None:
+                    vec = per_model_loss(self.loss_fn, stacked(Tensor(x)),
+                                         Tensor(y)).data
+                else:
+                    vec = step(x, y)[0]
+                totals += np.asarray(vec, dtype=np.float64)
                 batches += 1
         if was_training:
             stacked.train()
@@ -790,6 +801,10 @@ class StackedPITTrainer:
                 restore_rngs(module_rng_map(stacked.net, slice_index=i),
                              state.meta.get("rngs", {}))
 
+        # One compiled validation forward through warmup and pruning;
+        # freezing builds a new one.
+        val_step = self._make_eval_step()
+
         # ---------------- Phase 1: warmup (weights only) ----------------
         start = time.perf_counter()
         warmup_base = seconds.get("warmup", 0.0)
@@ -806,7 +821,8 @@ class StackedPITTrainer:
             for _ in range(warmup_ran, self.warmup_epochs):
                 self._run_train_epoch(step, optimizer, train_view,
                                       train_cur, active, epoch=epoch)
-                val = self._run_validation(val_view, val_cur, active)
+                val = self._run_validation(val_view, val_cur, active,
+                                           val_step)
                 for i in range(m):
                     histories[i]["warmup_val"].append(float(val[i]))
                 warmup_ran += 1
@@ -859,7 +875,8 @@ class StackedPITTrainer:
                     break
                 self._run_train_epoch(step, optimizer, train_view,
                                       train_cur, active, epoch=epoch)
-                val = self._run_validation(val_view, val_cur, active)
+                val = self._run_validation(val_view, val_cur, active,
+                                           val_step)
                 for i in range(m):
                     if not active[i]:
                         continue
@@ -920,12 +937,13 @@ class StackedPITTrainer:
         # constants the optimizer passes fold away).
         step = self._make_step(with_reg=False)
         epoch = self._make_epoch(step, optimizer)
+        val_step = self._make_eval_step()
         for _ in range(finetune_epoch, self.finetune_epochs):
             if not any(active):
                 break
             self._run_train_epoch(step, optimizer, train_view,
                                   train_cur, active, epoch=epoch)
-            val = self._run_validation(val_view, val_cur, active)
+            val = self._run_validation(val_view, val_cur, active, val_step)
             for i in range(m):
                 if not active[i]:
                     continue
@@ -958,7 +976,7 @@ class StackedPITTrainer:
             # No fine-tune epoch ran (finetune_epochs=0): evaluate once,
             # per model, like the sequential fallback path does.
             needs = [best_vals[i] is None for i in range(m)]
-            val = self._run_validation(val_view, val_cur, needs)
+            val = self._run_validation(val_view, val_cur, needs, val_step)
             for i in range(m):
                 if best_vals[i] is None:
                     best_vals[i] = float(val[i])

@@ -57,7 +57,7 @@ from .regularizer import flops_regularizer, pit_layers, size_regularizer
 
 __all__ = ["PITResult", "PITTrainer", "train_plain", "evaluate",
            "TrainResult", "DivergedError",
-           "make_training_step", "make_epoch_runner"]
+           "make_training_step", "make_epoch_runner", "make_eval_step"]
 
 LossFn = Callable[[Tensor, Tensor], Tensor]
 
@@ -87,11 +87,33 @@ def _guard_finite(value: float, what: str) -> float:
     return value
 
 
-def evaluate(model: Module, loss_fn: LossFn, loader) -> float:
-    """Mean task loss over a data loader, in evaluation mode, no gradients."""
+def evaluate(model: Module, loss_fn: LossFn, loader, step=None) -> float:
+    """Mean task loss over a data loader, in evaluation mode, no gradients.
+
+    ``step`` is an optional :func:`make_eval_step` runner replaying the
+    validation forward as a compiled program (same values, bit for bit).
+    """
     return mean_loss_over_loader(
         model, loader, loss_fn,
-        empty_message="evaluation loader produced no batches")
+        empty_message="evaluation loader produced no batches", step=step)
+
+
+def make_eval_step(model: Module, loss_fn: LossFn,
+                   compile_config: CompileConfig) -> Optional[CompiledStep]:
+    """The compiled validation forward ``step(x, y) -> (loss,)``, or None.
+
+    With step compilation on, validation is captured as a forward-only
+    program through the same capture, passes and lowering as the training
+    step (:class:`CompiledStep` with ``backward=False``), traced once per
+    batch shape and replayed thereafter.  The program bakes in the model's
+    eval-mode structure, so a phase that changes it (freezing the PIT
+    masks) builds a fresh one.  None keeps validation eager.
+    """
+    if not compile_config.want_compile():
+        return None
+    return CompiledStep(lambda x, y: loss_fn(model(x), y),
+                        optimize=compile_config.graph_opt,
+                        graph_exec=compile_config.graph_exec, backward=False)
 
 
 def _step_function(model: Module, loss_fn: LossFn,
@@ -269,13 +291,14 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
         restore_rngs(rng_map, meta.get("rngs", {}))
     step = make_training_step(model, loss_fn, compile_config=cfg)
     epoch = make_epoch_runner(step, optimizer, grad_clip, cfg)
+    val_step = make_eval_step(model, loss_fn, cfg)
     for _ in range(ran, epochs):
         if stopper.should_stop:
             break  # checkpoint was taken on the converged epoch
         train_loss = _train_epoch(model, loss_fn, optimizer, train_loader,
                                   grad_clip=grad_clip, step=step, epoch=epoch)
-        val_loss = _guard_finite(evaluate(model, loss_fn, val_loader),
-                                 "validation loss")
+        val_loss = _guard_finite(
+            evaluate(model, loss_fn, val_loader, val_step), "validation loss")
         history.append((train_loss, val_loss))
         ran += 1
         stopper.update(val_loss, state=model.state_dict())
@@ -571,6 +594,11 @@ class PITTrainer:
                       f"{meta.get('phase')!r}, global epoch "
                       f"{self._global_epoch}")
 
+        # Validation keeps one compiled forward through warmup and pruning
+        # (the eval-mode graph is the same); freezing builds a new one.
+        val_step = make_eval_step(self.model, self.loss_fn,
+                                  self.compile_config)
+
         # ---------------- Phase 1: warmup (weights only) ----------------
         start = time.perf_counter()
         warmup_base = seconds.get("warmup", 0.0)
@@ -588,7 +616,7 @@ class PITTrainer:
                 _train_epoch(self.model, self.loss_fn, optimizer, train_loader,
                              grad_clip=self.grad_clip, step=step, epoch=epoch)
                 history["warmup_val"].append(_guard_finite(
-                    evaluate(self.model, self.loss_fn, val_loader),
+                    evaluate(self.model, self.loss_fn, val_loader, val_step),
                     "warmup validation loss"))
                 warmup_ran += 1
                 counters["warmup_ran"] = warmup_ran
@@ -629,7 +657,7 @@ class PITTrainer:
                              extra_loss=self._regularizer_term,
                              grad_clip=self.grad_clip, step=step, epoch=epoch)
                 val_loss = _guard_finite(
-                    evaluate(self.model, self.loss_fn, val_loader),
+                    evaluate(self.model, self.loss_fn, val_loader, val_step),
                     "pruning validation loss")
                 history["prune_val"].append(val_loss)
                 history["prune_params"].append(
@@ -671,13 +699,15 @@ class PITTrainer:
                                   compile_config=self.compile_config)
         epoch = make_epoch_runner(step, optimizer, self.grad_clip,
                                   self.compile_config)
+        val_step = make_eval_step(self.model, self.loss_fn,
+                                  self.compile_config)
         for _ in range(finetune_ran, self.finetune_epochs):
             if stopper.should_stop:
                 break  # resumed from the converged epoch's snapshot
             _train_epoch(self.model, self.loss_fn, optimizer, train_loader,
                          grad_clip=self.grad_clip, step=step, epoch=epoch)
             val_loss = _guard_finite(
-                evaluate(self.model, self.loss_fn, val_loader),
+                evaluate(self.model, self.loss_fn, val_loader, val_step),
                 "fine-tuning validation loss")
             history["finetune_val"].append(val_loss)
             finetune_ran += 1

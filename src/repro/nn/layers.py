@@ -16,6 +16,7 @@ import numpy as np
 from ..autograd import (
     Tensor,
     avg_pool1d,
+    buffer_value,
     conv1d_causal,
     dropout as dropout_op,
     global_avg_pool1d,
@@ -171,8 +172,8 @@ class BatchNorm1d(Module):
             record_side_effect((mean, var), self._update_running_stats)
             x_hat = (x - mean) / (var + self.eps).sqrt()
         else:
-            mean = Tensor(self.running_mean.reshape(shape))
-            var = Tensor(self.running_var.reshape(shape))
+            mean = buffer_value(self, "running_mean", shape)
+            var = buffer_value(self, "running_var", shape)
             x_hat = (x - mean) / (var + self.eps).sqrt()
 
         w = self.weight.reshape(shape)

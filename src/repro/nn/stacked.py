@@ -41,6 +41,7 @@ import numpy as np
 from ..autograd import (
     Tensor,
     avg_pool1d,
+    buffer_value,
     conv1d_causal_stacked,
     dropout_stacked,
     get_default_dtype,
@@ -276,8 +277,8 @@ class StackedBatchNorm1d(Module):
             record_side_effect((mean, var), self._update_running_stats)
             x_hat = (x - mean) / (var + self.eps).sqrt()
         else:
-            mean = Tensor(self.running_mean.reshape(shape))
-            var = Tensor(self.running_var.reshape(shape))
+            mean = buffer_value(self, "running_mean", shape)
+            var = buffer_value(self, "running_var", shape)
             x_hat = (x - mean) / (var + self.eps).sqrt()
 
         w = self.weight.reshape(shape)

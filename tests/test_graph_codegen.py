@@ -167,6 +167,36 @@ class TestGeneratedSource:
         recorded = codegen.recorded_sources()
         assert source in recorded.values()
 
+    def test_temponet_source_size_budget(self):
+        """Compact emission: the generated text is what ``compile()`` pays
+        for, so its size is locked.  The three PIT step programs of the
+        TEMPONet seed (width 0.125, seed 0) lowered to 152371 + 176171 +
+        94976 = 423518 characters with the previous emitter (``name =
+        C[...]`` cell bindings, seven-line gradient routes, three-line
+        dtype guards); they must stay within a third of that."""
+        from repro.autograd.graph import CompileConfig
+        from repro.core.regularizer import pit_layers
+        model = temponet_seed(width_mult=0.125, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((4, 4, 256))
+        y = rng.standard_normal((4, 1))
+        cfg = CompileConfig(compile_step=True, graph_opt="default",
+                            graph_exec="source")
+        sizes = []
+        for phase in ("warmup", "prune", "finetune"):
+            if phase == "finetune":
+                for layer in pit_layers(model):
+                    layer.freeze()
+            extra = ((lambda: size_regularizer(model, 0.5))
+                     if phase == "prune" else None)
+            step = make_training_step(model, mae_loss, extra,
+                                      compile_config=cfg)
+            model.train()
+            step(x, y)
+            (source,) = step.dump_source().values()
+            sizes.append(len(source))
+        assert sum(sizes) <= 423518 // 3, sizes
+
 
 # ----------------------------------------------------------------------
 # Bit-parity with the interpreted replay

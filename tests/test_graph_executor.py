@@ -322,6 +322,45 @@ class TestFallbacks:
         assert compiled.epochs == eager.epochs
 
 
+class TestForwardOnly:
+    def test_compiled_validation_tracks_live_bn_stats(self):
+        """A forward-only program (``make_eval_step``) has no backward
+        schedule and never writes ``.grad``; its BatchNorm reads the
+        running statistics live, so after training moves them the replay
+        still equals eager evaluation bit for bit (per batch shape: the
+        short last validation batch re-traces once)."""
+        from repro.autograd.graph import CompileConfig
+        from repro.core.trainer import evaluate, make_eval_step
+        from repro.nn import BatchNorm1d
+        rng = np.random.default_rng(0)
+        val = DataLoader(ArrayDataset(rng.standard_normal((10, 2, 16)),
+                                      rng.standard_normal((10, 1))), 4)
+        mrng = np.random.default_rng(5)
+        model = Sequential(CausalConv1d(2, 4, kernel_size=3, rng=mrng),
+                           BatchNorm1d(4), ReLU(), GlobalAvgPool1d(),
+                           Linear(4, 1, rng=mrng))
+        val_step = make_eval_step(model, mse_loss,
+                                  CompileConfig(compile_step=True))
+        step = make_training_step(
+            model, mse_loss, compile_config=CompileConfig(compile_step=False))
+        optimizer = Adam(model.parameters(), lr=1e-2)
+        for x, y in batches_of((4, 2, 16), (4, 1), count=3, seed=1):
+            model.train()
+            optimizer.zero_grad()
+            step(x, y)
+            optimizer.step()
+            grads = {name: p.grad for name, p in model.named_parameters()}
+            assert (evaluate(model, mse_loss, val, val_step)
+                    == evaluate(model, mse_loss, val))
+            for name, p in model.named_parameters():
+                assert p.grad is grads[name], name
+        assert val_step.fallback_reason is None
+        assert len(val_step.compiled_shapes) == 2
+        for runner in val_step._runners.values():
+            assert not runner.program.backward_steps
+            assert not runner.program.grad_leaves
+
+
 # ----------------------------------------------------------------------
 # Perf smoke (env-gated): records BENCH_graph_executor.json
 # ----------------------------------------------------------------------

@@ -75,6 +75,22 @@ def small_net(seed=5):
                       GlobalAvgPool1d(), Linear(4, 1, rng=rng))
 
 
+class StackSeed(Module):
+    """A PIT seed with BN and dropout: every stacked per-model stream."""
+
+    def __init__(self):
+        super().__init__()
+        mrng = np.random.default_rng(0)
+        self.c1 = PITConv1d(2, 4, rf_max=5, rng=mrng)
+        self.bn = BatchNorm1d(4)
+        self.r1 = ReLU()
+        self.dp = Dropout(0.2, rng=mrng)
+        self.h = CausalConv1d(4, 1, 1, rng=mrng)
+
+    def forward(self, inp):
+        return self.h(self.dp(self.r1(self.bn(self.c1(inp)))))
+
+
 def batches_of(count=4, n=6, seed=0, tail=None):
     """`count` uniform (x, y) batch pairs, plus an optional ragged tail."""
     rng = np.random.default_rng(seed)
@@ -169,6 +185,85 @@ class TestEpochParity:
         assert_leg_parity(eager, loop, context="grad-clip")
         assert loop[3].replayed_epochs == 2
 
+    @pytest.mark.parametrize("grad_clip", [None, 0.5],
+                             ids=["no-clip", "clip"])
+    @pytest.mark.parametrize("tail", [None, 2], ids=["no-tail", "tail"])
+    def test_first_epoch_parity(self, tail, grad_clip):
+        """The tracing epoch itself replays from its second batch (an
+        untraced ragged tail is driven last): one epoch of eager ==
+        per-step compiled == loop, bit for bit — losses summed in eager
+        order, parameters, full Adam state."""
+        batches = batches_of(count=4, tail=tail, seed=4)
+        eager = run_leg("eager", batches, epochs=1, grad_clip=grad_clip)
+        step = run_leg("step", batches, epochs=1, grad_clip=grad_clip)
+        loop = run_leg("loop", batches, epochs=1, grad_clip=grad_clip)
+        assert_leg_parity(eager, step, context="first-epoch step")
+        assert_leg_parity(eager, loop, context="first-epoch loop")
+        epoch = loop[3]
+        assert epoch.loop_fallback_reason is None
+        assert (epoch.driven_epochs, epoch.replayed_epochs) == (1, 0)
+
+    @pytest.mark.parametrize("tail", [None, 2], ids=["no-tail", "tail"])
+    def test_first_epoch_drives_only_traced_batches(self, tail):
+        """Eager ``optimizer.step()`` runs once in a signature's first
+        epoch (the batch that traces the body), plus once for an untraced
+        ragged tail (which traces the epilogue), and never afterwards."""
+        model = small_net()
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        cfg = CompileConfig(compile_step=True, loop_capture=True)
+        step = make_training_step(model, mse_loss, compile_config=cfg)
+        epoch = make_epoch_runner(step, optimizer, None, cfg)
+        calls = []
+        eager_step = optimizer.step
+
+        def counted_step():
+            calls.append(1)
+            eager_step()
+        optimizer.step = counted_step
+        batches = batches_of(count=5, tail=tail)
+        per_epoch = []
+        for _ in range(3):
+            before = len(calls)
+            epoch.run_batches(list(batches))
+            per_epoch.append(len(calls) - before)
+        assert per_epoch == [1 + (tail is not None), 0, 0]
+        assert (epoch.driven_epochs, epoch.replayed_epochs) == (1, 2)
+
+    @pytest.mark.parametrize("n_train", [16, 18], ids=["no-tail", "tail"])
+    def test_stacked_first_epoch_parity(self, n_train):
+        """Stacked training (per-model ``vector_m`` loss accumulation,
+        stacked clip kernel) where every phase is a single first epoch:
+        eager, per-step compiled and loop stacked trainers agree bit for
+        bit."""
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((n_train + 4, 2, 12))
+        y = x[:, :1, :] * 0.5 + 0.3 * rng.standard_normal((n_train + 4, 1, 12))
+
+        def run(compile_step, loop_capture):
+            train = DataLoader(ArrayDataset(x[:n_train], y[:n_train]), 4,
+                               shuffle=True, rng=np.random.default_rng(1))
+            val = DataLoader(ArrayDataset(x[n_train:], y[n_train:]), 4)
+            trainer = StackedPITTrainer(
+                StackSeed(), mse_loss, lams=[1e-7, 1e-4], warmup_epochs=1,
+                max_prune_epochs=1, prune_patience=1, finetune_epochs=1,
+                finetune_patience=1, grad_clip=1.0,
+                compile_config=CompileConfig(compile_step=compile_step,
+                                             loop_capture=loop_capture))
+            results = trainer.fit(train, val)
+            states = [trainer.model_for(i).state_dict()
+                      for i in range(len(results))]
+            return results, states
+
+        eager = run(False, False)
+        for legs in (run(True, False), run(True, True)):
+            for ref, other in zip(eager[0], legs[0]):
+                assert other.dilations == ref.dilations
+                assert other.best_val == ref.best_val
+                assert other.history == ref.history
+            for ref, other in zip(eager[1], legs[1]):
+                for key in ref:
+                    assert np.array_equal(ref[key], other[key]), key
+
     def test_parity_uniform_batches_no_tail(self):
         batches = batches_of(count=4)
         eager = run_leg("eager", batches)
@@ -262,19 +357,6 @@ class TestEpochParity:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((20, 2, 12))
         y = (x[:, :1, :] * 0.5 + 0.3 * rng.standard_normal((20, 1, 12)))
-
-        class StackSeed(Module):
-            def __init__(self):
-                super().__init__()
-                mrng = np.random.default_rng(0)
-                self.c1 = PITConv1d(2, 4, rf_max=5, rng=mrng)
-                self.bn = BatchNorm1d(4)
-                self.r1 = ReLU()
-                self.dp = Dropout(0.2, rng=mrng)
-                self.h = CausalConv1d(4, 1, 1, rng=mrng)
-
-            def forward(self, inp):
-                return self.h(self.dp(self.r1(self.bn(self.c1(inp)))))
 
         def run(loop_capture):
             train = DataLoader(ArrayDataset(x[:16], y[:16]), 4, shuffle=True,
