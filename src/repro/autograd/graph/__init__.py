@@ -3,7 +3,7 @@
 Eager autograd rebuilds the op graph in Python for every batch.  For the
 static networks of this reproduction (TCNs, PIT supernets, unrolled RNNs)
 that graph is identical batch after batch, so this subsystem records it
-once, optimizes it, and replays it as a flat schedule:
+once, optimizes it, and replays it as generated code:
 
 * :class:`GraphCapture` — thread-local tracer observing every
   :func:`repro.autograd.apply_op` dispatch during one eager step;
@@ -15,44 +15,29 @@ once, optimizes it, and replays it as a flat schedule:
   contiguous-chain op fusion and liveness-planned buffer reuse, all
   bit-identical to the unoptimized replay (``REPRO_GRAPH_OPT=none`` turns
   it off);
+* :mod:`~repro.autograd.graph.codegen` — source lowering: each optimized
+  program becomes one specialized generated Python function, served from
+  a process-wide code cache;
 * :class:`CompiledStep` — the replay executor: per-shape program cache,
   preallocated gradient buffers and forward arena, bit-identical results,
-  automatic eager fallback for anything value-dependent.
+  automatic eager fallback for anything value-dependent or unlowerable.
 
-Since PR 8 the subsystem also captures the *loop around* the step:
+The subsystem also captures the *loop around* the step:
 :class:`CompiledEpoch` closes a compiled batch body, the optimizer's
 update kernels and the clip kernel into a :class:`LoopNode`, replaying a
-whole training epoch (or PIT phase) as one single-node
-:class:`GraphProgram` — interpreted, or emitted as a real ``for`` loop in
-generated source.
+whole training epoch (or PIT phase) as one generated function with a real
+``for`` loop.
 
 Entry points for training code: a :class:`CompileConfig` passed as
-``compile_config=`` to any trainer / search layer (the loose
-``compile_step=`` / ``graph_opt=`` / ``graph_exec=`` / ``loop_capture=``
-kwargs survive as a deprecated shim), the ``--compile`` / ``--graph-opt``
-/ ``--graph-exec`` / ``--loop-capture`` CLI flags, or the
-``REPRO_COMPILE_STEP`` / ``REPRO_GRAPH_OPT`` / ``REPRO_GRAPH_EXEC`` /
-``REPRO_LOOP_CAPTURE`` environment defaults.
+``compile_config=`` to any trainer / search layer, the ``--compile`` /
+``--graph-opt`` / ``--loop-capture`` CLI flags, or the
+``REPRO_COMPILE_STEP`` / ``REPRO_GRAPH_OPT`` / ``REPRO_LOOP_CAPTURE``
+environment defaults.
 """
 
 from .capture import GraphCapture, capture
-from .executor import (
-    ENV_COMPILE,
-    ENV_GRAPH_EXEC,
-    EXEC_MODES,
-    CompiledStep,
-    EagerStep,
-    compile_step_default,
-    graph_exec_default,
-    resolve_graph_exec,
-)
-from .codegen import (
-    LoweringError,
-    SourceEpochRunner,
-    SourceRunner,
-    codegen_cache_stats,
-    recorded_sources,
-)
+from .executor import ENV_COMPILE, CompiledStep, EagerStep, compile_step_default
+from .codegen import LoweringError, codegen_cache_stats, recorded_sources
 from .config import ENV_LOOP_CAPTURE, CompileConfig, loop_capture_default
 from .ir import (GraphCaptureError, GraphProgram, LoopNode, build_program,
                  epoch_program)
@@ -77,8 +62,6 @@ __all__ = [
     "CompileConfig",
     "EagerStep",
     "LoweringError",
-    "SourceRunner",
-    "SourceEpochRunner",
     "build_program",
     "epoch_program",
     "capture",
@@ -88,15 +71,11 @@ __all__ = [
     "optimize_program",
     "graph_opt_default",
     "resolve_graph_opt",
-    "graph_exec_default",
-    "resolve_graph_exec",
     "loop_capture_default",
     "loop_carried_safety",
     "OptStats",
     "ENV_COMPILE",
     "ENV_GRAPH_OPT",
-    "ENV_GRAPH_EXEC",
     "ENV_LOOP_CAPTURE",
     "OPT_LEVELS",
-    "EXEC_MODES",
 ]

@@ -1,12 +1,11 @@
-"""Source-lowering executor backend: one generated function per program.
+"""Source lowering: one generated function per program.
 
-The interpreter (:class:`~repro.autograd.graph.executor._ProgramRunner`)
-replays an optimized :class:`~repro.autograd.graph.ir.GraphProgram` as a
-Python loop over plan tuples — every node still pays loop machinery, tuple
-unpacking, an integer kind dispatch and slot-table indexing on every batch.
-This module removes that last interpreter layer the way Myia lowers its
-tapeless adjoint: the whole forward + backward step is **emitted as
-straight-line Python source** and compiled once.
+Every optimized :class:`~repro.autograd.graph.ir.GraphProgram` replays as
+**straight-line Python source**, compiled once — the way Myia lowers its
+tapeless adjoint.  The executor's step runner
+(:class:`~repro.autograd.graph.executor._ProgramRunner`) flattens a
+program into plan tuples and preallocates its buffers; this module emits
+those plans as one specialized function, which *is* the runner's replay.
 
 In the generated function
 
@@ -18,7 +17,7 @@ In the generated function
   so the zero-steady-state-allocation guarantee of the memory planner is
   preserved bit for bit;
 * the precomputed backward schedule is unrolled in source order, each
-  gradient route one call of a routing helper that carries the runner's
+  gradient route one call of a routing helper that carries the
   adopt-or-copy discipline (``_ad`` / ``_cp`` / ``_ac``); and
 * side-effect nodes (BatchNorm running-stat updates) are emitted in place,
   exactly where the schedule recorded them.
@@ -33,10 +32,10 @@ route is one line, and the body is indented by two spaces
 (``tests/test_graph_codegen.py`` holds the TEMPONet seed's three PIT step
 programs to a size budget).
 
-Because the source invokes the *same* kernels, in the *same* order, with the
-same dtype coercions and the same gradient-accumulation routing as the
-interpreter, results are bit-identical to interpreted replay — and therefore
-to eager execution (``tests/test_graph_codegen.py`` locks all three legs).
+Because the source invokes the *same* kernels, in the *same* order, with
+the same dtype coercions and the same gradient-accumulation routing as
+eager autograd, results are bit-identical to eager execution
+(``tests/test_graph_codegen.py`` and the executor parity suites lock it).
 
 **Artifact reuse.**  The emitted source depends only on program *structure*
 (op kinds, slot wiring, accumulation routes) — every value-like thing
@@ -48,10 +47,10 @@ inside a worker compiles **once** and reuses the code object
 (:func:`codegen_cache_stats` counts the hits).
 
 Lowering never risks correctness: any failure to emit, compile or bind
-raises :class:`LoweringError` (or anything else), and
-:class:`~repro.autograd.graph.executor.CompiledStep` falls back to the
-interpreter for that program, recording the reason in
-``CompiledStep.exec_fallbacks``.
+raises :class:`LoweringError` (or anything else), and the caller drops one
+rung — :class:`~repro.autograd.graph.executor.CompiledStep` to eager,
+:class:`~repro.autograd.graph.loop.CompiledEpoch` to per-step driving —
+recording the reason in its ``exec_fallbacks``.
 """
 
 from __future__ import annotations
@@ -61,20 +60,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .executor import (
-    _K_EFFECT,
-    _K_INPLACE,
-    _K_OUT,
-    _K_SCRATCH,
-    _ProgramRunner,
-)
+from .executor import _K_EFFECT, _K_FUSED, _K_INPLACE, _K_OUT, _K_SCRATCH
 from .ir import GraphProgram
 from .passes import FusedOp
 
 __all__ = [
     "LoweringError",
-    "SourceRunner",
-    "SourceEpochRunner",
     "lower_program",
     "lower_epoch",
     "codegen_cache_stats",
@@ -232,11 +223,11 @@ def _emit_fused_forward(i: int, op: FusedOp, ext, out_slot: int, dtype,
                         interior: Dict[Tuple[int, int], str], emit) -> None:
     """Unroll one fused chain's forward into the body.
 
-    Mirrors :meth:`FusedOp.fwd_scratch` — same sub-kernel order, same
-    per-sub dtype coercion — with the gather indices resolved into
-    argument lists at lowering time and interior values named in
-    ``interior`` (locals, or the out-buffer itself) for the unrolled
-    backward to read.
+    The member kernels run in recorded order, each result coerced to the
+    program dtype as eager dispatch would, with the gather indices
+    resolved into argument lists at lowering time and interior values
+    named in ``interior`` (locals, or the out-buffer itself) for the
+    unrolled backward to read.
     """
     def arg(k: int) -> str:
         return val[ext[k]] if k >= 0 else interior[(i, ~k)]
@@ -257,7 +248,7 @@ def _emit_fused_forward(i: int, op: FusedOp, ext, out_slot: int, dtype,
         else:
             raise LoweringError(f"unknown fused forward kind {skind}")
     val[out_slot] = interior[(i, last)]
-    # The runner's own post-call coercion is a no-op except when the chain
+    # The fused node's own dtype coercion is a no-op except when the chain
     # ends in a preallocated out-buffer of a non-program dtype.
     lkind, _lfn, _lattrs, _lgather, lextra = op._fwd_plan[last]
     if lkind == FusedOp._F_OUT and lextra.dtype != dtype:
@@ -271,13 +262,13 @@ def _emit_fused_backward(i: int, op: FusedOp, ext, gsrc: str, acc,
                          emit) -> None:
     """Unroll one fused chain's backward into the body.
 
-    Mirrors :meth:`FusedOp.bwd` with every plan constant folded into the
+    The member backward kernels replay in their original backward-schedule
+    order (``FusedOp.bwd_plan``) with every plan constant folded into the
     text: interior grads become locals (``h{i}_{p}``, unbound reading as
-    ``None``), the adopt-or-copy buffers (lazy ``_igbufs`` / ``_xbufs``
-    dicts in the wrapper) become preallocated closure arrays, and each
-    external gradient is routed into its slot immediately — sub-kernels
-    never read slot gradient buffers, so routing in place of the wrapper's
-    deferred flat list is value-identical.
+    ``None``) normalized by the same adopt-or-copy discipline as slot
+    gradients into preallocated closure arrays, and each external gradient
+    is routed into its slot immediately, in the order the unfused
+    accumulation loop would have processed it.
     """
     def arg(k: int) -> str:
         return val[ext[k]] if k >= 0 else interior[(i, ~k)]
@@ -296,8 +287,8 @@ def _emit_fused_backward(i: int, op: FusedOp, ext, gsrc: str, acc,
         if sscratch is not None:
             call += f", {env.ref('z', sscratch)}"
         emit(f"r = {call})")
-        # Interior gradients: the wrapper's adopt-or-copy with the
-        # first/sole flags and copy buffers resolved at lowering time.
+        # Interior gradients: adopt-or-copy with the first/sole flags and
+        # copy buffers resolved at lowering time.
         for gidx, target, first, sole, rdtype, rshape in int_routes:
             hname = f"h{i}_{target}"
             if not first:
@@ -310,9 +301,11 @@ def _emit_fused_backward(i: int, op: FusedOp, ext, gsrc: str, acc,
             else:
                 emit(f"{hname} = _cp(r[{gidx}], None, {ib})")
             bound.add(target)
-        # External gradients: de-alias exactly like the wrapper (never hand
-        # one array to two accumulation targets, nor the sub-step's own
-        # gradient source), then route into the slot straight away.
+        # External gradients: de-alias (never hand one array to two
+        # accumulation targets, nor the sub-step's own gradient source —
+        # a slot may adopt it, and an alias such as add's (g, g)
+        # passthrough would let one slot scribble over another), then
+        # route into the slot straight away.
         single = len(ext_routes) == 1
         if not single and ext_routes:
             emit("p = None")
@@ -349,14 +342,14 @@ def _step_helpers(env: _Closure, dtype) -> None:
     env.fixed("_xa", _dealias)
 
 
-def _emit(runner: _ProgramRunner) -> Tuple[str, Tuple, int]:
+def _emit(runner) -> Tuple[str, Tuple, int]:
     """Lower one runner's plans into (source, closure tuple, buffer count).
 
     The source defines ``_factory(C)`` which unpacks the closure tuple
     ``C`` into cells and returns the specialized ``run(inputs)``.
     Everything value-like goes through ``C``; the text encodes structure
     only.  The buffer count is the number of preallocated fused-chain
-    copy buffers (see :attr:`SourceRunner.persistent_buffers`).
+    copy buffers (see ``_ProgramRunner.persistent_buffers``).
 
     Value names: slot ``s`` is ``v{s}`` when the body computes it, or the
     closure name of the out-buffer an op writes it into; forward-op
@@ -386,10 +379,8 @@ def _emit(runner: _ProgramRunner) -> Tuple[str, Tuple, int]:
         emit(f"if v{slot}.dtype != _dt: v{slot} = v{slot}.astype(_dt)")
         val[slot] = f"v{slot}"
 
-    # -- forward sweep, effects interleaved in recorded order.  Fused
-    # chains are not called through their FusedOp wrapper: the wrapper's
-    # sub-op loop, gather indexing and kind dispatch are themselves
-    # interpreter machinery, so each chain is unrolled into the body with
+    # -- forward sweep, effects interleaved in recorded order.  Each fused
+    # chain is unrolled into the body from its FusedOp plans, with
     # interior values shared straight into the unrolled backward — no ctx
     # tuples are ever built for a fused node.
     ctx_name: Dict[int, str] = {}
@@ -401,7 +392,7 @@ def _emit(runner: _ProgramRunner) -> Tuple[str, Tuple, int]:
         if kind == _K_EFFECT:
             emit(f"{env.ref('e', fn)}({ins})")
             continue
-        if kind == _K_SCRATCH and type(node.op) is FusedOp:
+        if kind == _K_FUSED:
             _emit_fused_forward(i, node.op, in_slots, out_slot,
                                 program.dtype, env, val, interior, emit)
             fused_chain[id(node)] = i
@@ -425,7 +416,7 @@ def _emit(runner: _ProgramRunner) -> Tuple[str, Tuple, int]:
 
     # -- backward sweep: unrolled precomputed schedule.  A slot's gradient
     # local is first bound by its first route (or, if read before any
-    # route, to its persistent buffer) — the interpreter's grad_bufs
+    # route, to its persistent buffer) — the runner's grad_bufs
     # binding, as a local.
     bound = set()
 
@@ -487,7 +478,7 @@ def _emit(runner: _ProgramRunner) -> Tuple[str, Tuple, int]:
     for slot, t in program.grad_leaves:
         emit(f"{env.ref('L', t)}.grad = {grad(slot)}")
 
-    # -- outputs: same scalarization as the interpreter.
+    # -- outputs: same scalarization as eager (EagerStep).
     outs = ", ".join(
         f"_float({val[slot]})" if scalar
         else f"_nparray({val[slot]}, copy=True)"
@@ -513,7 +504,7 @@ def _load(source: str, closure: Tuple, filename: str):
     return namespace["_factory"](closure)
 
 
-def lower_program(runner: _ProgramRunner):
+def lower_program(runner):
     """Compile a runner's plans into a specialized ``run(inputs)`` callable.
 
     Returns ``(run, source)``.  The code object is served from the
@@ -522,39 +513,12 @@ def lower_program(runner: _ProgramRunner):
     """
     source, closure, nbufs = _emit(runner)
     run = _load(source, closure, "<repro-graph-codegen>")
-    # The inlined fused chains replace the wrapper's lazy copy-buffer dicts
-    # with preallocated closure arrays; expose the count so
-    # ``persistent_buffers`` / ``alloc_stats`` keep accounting for them.
+    # The inlined fused chains own preallocated copy buffers in the
+    # closure; expose their count so ``persistent_buffers`` /
+    # ``alloc_stats`` account for them.
     runner._n_lowered_bufs = nbufs
     _record_source(runner.program, source)
     return run, source
-
-
-class SourceRunner(_ProgramRunner):
-    """A :class:`_ProgramRunner` whose replay is generated source.
-
-    Construction reuses the interpreter's plan building (buffer arena,
-    gradient buffers, scratch dicts — the exact same objects, so
-    ``persistent_buffers`` / ``alloc_stats`` keep working), then lowers the
-    plans to one specialized function.  ``run`` dispatches straight into it.
-    """
-
-    exec_mode = "source"
-    _n_lowered_bufs = 0
-
-    def __init__(self, program: GraphProgram):
-        super().__init__(program)
-        self._run, self.source = lower_program(self)
-        # Shadow the method with the generated function itself: replay
-        # dispatches straight into it, no wrapper frame.
-        self.run = self._run
-
-    def persistent_buffers(self) -> int:
-        return super().persistent_buffers() + self._n_lowered_bufs
-
-
-# The interpreter is the other executor; tag it for introspection.
-_ProgramRunner.exec_mode = "interp"
 
 
 # ----------------------------------------------------------------------
@@ -636,25 +600,3 @@ def lower_epoch(runner):
     run = _load(source, closure, "<repro-graph-codegen-epoch>")
     _record_source(runner.program, source)
     return run, source
-
-
-from .loop import _LoopRunner  # noqa: E402  (epoch runner base)
-
-
-class SourceEpochRunner(_LoopRunner):
-    """A :class:`~repro.autograd.graph.loop._LoopRunner` whose epoch loop
-    is generated source: one compiled function per epoch/phase signature.
-    """
-
-    exec_mode = "source"
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._start: list = []
-        self._run, self.source = lower_epoch(self)
-
-    def run(self, bodies, tail, total):
-        # The generated ``run(bodies, tail)`` takes its starting total
-        # through the one-slot ``_start`` list bound in its closure.
-        self._start.append(total)
-        return self._run(bodies, tail)

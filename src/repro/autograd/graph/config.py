@@ -1,26 +1,19 @@
-"""One consolidated configuration object for the graph-execution knobs.
+"""One configuration object for the graph-execution knobs.
 
-Before this module, every trainer / search entry point threaded three (now
-four) loose keyword arguments — ``compile_step`` / ``graph_opt`` /
-``graph_exec`` / ``loop_capture`` — through eight layers of plumbing.
-:class:`CompileConfig` replaces that with a single frozen, picklable value
-(safe to ship to DSE pool workers) that still defers any ``None`` field to
-the corresponding ``REPRO_*`` environment variable at use time.
-
-The loose kwargs keep working everywhere as a deprecation shim:
-:meth:`CompileConfig.resolve` merges them under an explicit ``config``
-(config fields win) and warns once per process.
+:class:`CompileConfig` is the single way to choose an execution tier: a
+frozen, picklable value (safe to ship to DSE pool workers) passed as
+``compile_config=`` to every trainer / search entry point.  Any ``None``
+field defers to the corresponding ``REPRO_*`` environment variable at use
+time.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .executor import (ENV_COMPILE, EXEC_MODES, compile_step_default,
-                       graph_exec_default, resolve_graph_exec)
+from .executor import ENV_COMPILE, compile_step_default
 from .passes import resolve_graph_opt
 
 __all__ = [
@@ -43,61 +36,35 @@ def loop_capture_default() -> bool:
     return os.environ.get(ENV_LOOP_CAPTURE, "").strip().lower() in _TRUTHY
 
 
-_warned_legacy = False
-
-
-def _warn_legacy_kwargs() -> None:
-    global _warned_legacy
-    if _warned_legacy:
-        return
-    _warned_legacy = True
-    warnings.warn(
-        "the loose compile_step=/graph_opt=/graph_exec=/loop_capture= "
-        "keyword arguments are deprecated; pass a single "
-        "compile_config=CompileConfig(...) instead",
-        DeprecationWarning, stacklevel=4)
-
-
 @dataclass(frozen=True)
 class CompileConfig:
-    """The four graph-execution knobs as one immutable, picklable value.
+    """The three graph-execution knobs as one immutable, picklable value.
 
     Every field defaults to None, meaning "defer to the environment at use
     time" (``REPRO_COMPILE_STEP`` / ``REPRO_GRAPH_OPT`` /
-    ``REPRO_GRAPH_EXEC`` / ``REPRO_LOOP_CAPTURE``), so a default-constructed
-    config is behavior-identical to passing no knobs at all.
+    ``REPRO_LOOP_CAPTURE``), so a default-constructed config is
+    behavior-identical to passing no config at all.
     """
 
     compile_step: Optional[bool] = None
     graph_opt: Optional[str] = None
-    graph_exec: Optional[str] = None
     loop_capture: Optional[bool] = None
 
     @classmethod
-    def resolve(cls, config: Optional["CompileConfig"] = None, *,
-                compile_step: Optional[bool] = None,
-                graph_opt: Optional[str] = None,
-                graph_exec: Optional[str] = None,
-                loop_capture: Optional[bool] = None) -> "CompileConfig":
-        """Merge an explicit config with legacy loose kwargs.
+    def resolve(cls, config: Optional["CompileConfig"] = None
+                ) -> "CompileConfig":
+        """``config`` itself, or a default config for None.
 
-        Config fields win over the loose kwargs; any loose kwarg actually
-        supplied triggers a once-per-process :class:`DeprecationWarning`.
-        This is the single entry point every trainer / search layer uses to
-        normalize its knobs.
+        The single entry point every trainer / search layer uses to
+        normalize its ``compile_config=`` argument; anything else is a
+        :class:`TypeError`.
         """
-        legacy = dict(compile_step=compile_step, graph_opt=graph_opt,
-                      graph_exec=graph_exec, loop_capture=loop_capture)
-        if any(v is not None for v in legacy.values()):
-            _warn_legacy_kwargs()
         if config is None:
-            return cls(**legacy)
+            return cls()
         if not isinstance(config, CompileConfig):
             raise TypeError(
                 f"compile_config must be a CompileConfig, got {config!r}")
-        merged = {k: v for k, v in legacy.items()
-                  if v is not None and getattr(config, k) is None}
-        return replace(config, **merged) if merged else config
+        return config
 
     # -- resolved views (environment applied) --------------------------
 
@@ -113,7 +80,7 @@ class CompileConfig:
         compiled step bodies — so the loop flag turns the compiler on when
         ``compile_step`` was left *unset*.  Anything explicit about
         compilation wins over the loop flag: a ``compile_step=False``
-        kwarg, or a ``REPRO_COMPILE_STEP`` variable actually present in
+        field, or a ``REPRO_COMPILE_STEP`` variable actually present in
         the environment (so ``REPRO_COMPILE_STEP=0 REPRO_LOOP_CAPTURE=1``
         still means eager).
         """
@@ -135,14 +102,8 @@ class CompileConfig:
         """The optimization level, validated against ``OPT_LEVELS``."""
         return resolve_graph_opt(self.graph_opt)
 
-    def resolved_exec(self) -> str:
-        """The executor mode, validated against ``EXEC_MODES``."""
-        return resolve_graph_exec(self.graph_exec)
-
     def validate(self) -> "CompileConfig":
-        """Eagerly validate the string fields; returns self for chaining."""
+        """Eagerly validate ``graph_opt``; returns self for chaining."""
         if self.graph_opt is not None:
             resolve_graph_opt(self.graph_opt)
-        if self.graph_exec is not None:
-            resolve_graph_exec(self.graph_exec)
         return self

@@ -6,9 +6,9 @@ step runs eagerly under a :class:`GraphCapture` — producing real losses and
 gradients — and is frozen into a :class:`GraphProgram`.  The program is then
 rewritten by the optimization pass pipeline (:mod:`.passes`: constant
 folding, dead-node elimination, op fusion, liveness-planned buffer reuse)
-unless ``optimize="none"``.  Every later call with that shape *replays* the
-optimized program: a flat loop over recorded kernels on slot-indexed numpy
-buffers, with
+unless ``optimize="none"``, and lowered to one specialized generated
+Python function (:mod:`.codegen`).  Every later call with that shape
+*replays* that function on slot-local numpy buffers, with
 
 * no ``Tensor`` objects, no parent tuples, no per-op bookkeeping;
 * no topological sort — the backward schedule was precomputed from the same
@@ -20,20 +20,20 @@ buffers, with
 
 Because replay invokes the *same* kernels in the *same* order on the same
 values as eager execution would — fused regions run their member kernels
-internally, folded constants were produced by those very kernels at trace
+inline, folded constants were produced by those very kernels at trace
 time — results (losses, every parameter gradient, entire training
-trajectories) are bit-identical to eager mode; ``tests/test_graph_executor.py``
-and ``tests/test_graph_passes.py`` lock this.
+trajectories) are bit-identical to eager mode; the executor, pass and
+codegen parity suites under ``tests/`` lock this.
 
 Shape changes (e.g. a short final batch) transparently re-trace: programs
 are cached per ``(x.shape, y.shape, default dtype)``, so each distinct
-signature pays one eager step and replays thereafter — and with
-``graph_exec="source"`` the re-trace reuses the compiled code object from
-the process-wide codegen cache (:mod:`.codegen`), which also serves
-same-architecture steps across DSE points.  Captures that fail — legacy closure
-ops, value-dependent control flow announced via ``mark_capture_unsafe`` —
-poison the step permanently and it runs eagerly, which is always correct;
-see :attr:`CompiledStep.fallback_reason`.
+signature pays one eager step and replays thereafter — and the re-trace
+reuses the compiled code object from the process-wide codegen cache,
+which also serves same-architecture steps across DSE points.  Captures
+that fail — legacy closure ops, value-dependent control flow announced via
+``mark_capture_unsafe`` — and programs that fail to lower poison the step
+permanently and it runs eagerly, which is always correct; see
+:attr:`CompiledStep.fallback_reason` and :attr:`CompiledStep.exec_fallbacks`.
 
 A ``CompiledStep`` is single-threaded (per-replay scratch lives in the
 program nodes); concurrent trainers — e.g. parallel DSE workers — each
@@ -57,16 +57,10 @@ __all__ = [
     "CompiledStep",
     "EagerStep",
     "compile_step_default",
-    "graph_exec_default",
-    "resolve_graph_exec",
     "ENV_COMPILE",
-    "ENV_GRAPH_EXEC",
-    "EXEC_MODES",
 ]
 
 ENV_COMPILE = "REPRO_COMPILE_STEP"
-ENV_GRAPH_EXEC = "REPRO_GRAPH_EXEC"
-EXEC_MODES = ("interp", "source")
 
 
 def compile_step_default() -> bool:
@@ -76,30 +70,6 @@ def compile_step_default() -> bool:
     flag (``1``/``true``/``yes``/``on``); read per call so tests can flip it.
     """
     return os.environ.get(ENV_COMPILE, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-def graph_exec_default() -> str:
-    """Process-wide default for ``graph_exec=None`` knobs.
-
-    The ``REPRO_GRAPH_EXEC`` environment variable when set (read per call
-    so tests can flip it), else ``"interp"`` — the interpreted replay loop
-    stays the default; ``"source"`` lowers each optimized program to one
-    specialized generated function (:mod:`.codegen`), bit-identical and
-    faster on interpreter-bound steps.
-    """
-    return os.environ.get(ENV_GRAPH_EXEC, "").strip().lower() or "interp"
-
-
-def resolve_graph_exec(mode: Optional[str]) -> str:
-    """Normalize a ``graph_exec`` knob: None defers to the environment."""
-    if mode is None:
-        mode = graph_exec_default()
-    mode = str(mode).strip().lower()
-    if mode not in EXEC_MODES:
-        raise ValueError(
-            f"unknown graph executor {mode!r}; "
-            f"choose from {EXEC_MODES} (or set {ENV_GRAPH_EXEC})")
-    return mode
 
 
 def _scalarize(array: np.ndarray) -> Union[float, np.ndarray]:
@@ -130,26 +100,28 @@ class EagerStep:
         return tuple(_scalarize(o.data) for o in outs)
 
 
-# Forward-plan entry kinds (first tuple element), chosen so the replay loop
-# is one integer compare away from the right call shape.
-_K_FWD, _K_OUT, _K_SCRATCH, _K_EFFECT, _K_INPLACE = 0, 1, 2, 3, 4
+# Forward-plan entry kinds (first tuple element): the call shape the
+# lowering emits for each node.
+_K_FWD, _K_OUT, _K_SCRATCH, _K_EFFECT, _K_INPLACE, _K_FUSED = range(6)
 
 
 class _ProgramRunner:
-    """Replays one :class:`GraphProgram` with preallocated buffers.
+    """One :class:`GraphProgram`, lowered to a generated replay function.
 
-    The program is flattened further at construction into plain-tuple
-    *plans* (no attribute lookups, no isinstance checks in the replay
-    loop); all per-replay scratch — gradient buffers, the forward buffer
-    arena, op scratch dicts — is allocated here once.  When the program
-    carries a memory plan (optimizer on), ``fwd_out``-capable ops write
-    into liveness-shared arena buffers or, for planner-approved in-place
-    ops, straight over a dying input.
+    Construction flattens the program into plain-tuple *plans* and
+    allocates all per-replay scratch once — gradient buffers, the forward
+    buffer arena, op scratch dicts.  When the program carries a memory plan
+    (optimizer on), ``fwd_out``-capable ops write into liveness-shared
+    arena buffers or, for planner-approved in-place ops, straight over a
+    dying input.  :func:`.codegen.lower_program` then emits the plans as
+    one specialized function bound to those very buffers, and ``run`` *is*
+    that function: replay dispatches straight into it, no wrapper frame.
+    Lowering errors propagate; :class:`CompiledStep` turns them into its
+    eager fallback.
     """
 
     def __init__(self, program: GraphProgram):
         self.program = program
-        self.values: list = [None] * program.n_slots
         # Gradient buffers: one per slot that receives gradients, allocated
         # once from the traced shapes and reused for every replay.
         meta = program.slot_meta
@@ -166,7 +138,10 @@ class _ProgramRunner:
                                  node.in_slots, -1, None, None))
                 continue
             op = node.op
-            if plan is not None and idx in plan.inplace:
+            if type(op) is FusedOp:
+                fwd_plan.append((_K_FUSED, None, None, node.in_slots,
+                                 node.out_slot, node, None))
+            elif plan is not None and idx in plan.inplace:
                 fwd_plan.append((_K_INPLACE, op.fwd_out, node.attrs,
                                  node.in_slots, node.out_slot, node,
                                  plan.inplace[idx]))
@@ -185,15 +160,23 @@ class _ProgramRunner:
                                  node.in_slots, node.out_slot, node, None))
         self._fwd_plan = fwd_plan
         # Steps whose op has a scratch-aware backward get a persistent
-        # work-buffer dict (conv adjoints, reduction broadcasts).
-        self._bwd_plan = [
-            (step.node.op.bwd_scratch or step.node.op.bwd,
-             step.node.attrs, step.node.in_slots,
-             step.node.out_slot, step.node, step.needs, step.acc,
-             {} if step.node.op.bwd_scratch is not None else None)
-            for step in program.backward_steps]
+        # work-buffer dict (conv adjoints, reduction broadcasts).  A fused
+        # step has no kernel of its own: lowering unrolls its bwd_plan.
+        self._bwd_plan = []
+        for step in program.backward_steps:
+            node = step.node
+            op = node.op
+            fn = None if type(op) is FusedOp else op.bwd_scratch or op.bwd
+            self._bwd_plan.append(
+                (fn, node.attrs, node.in_slots, node.out_slot, node,
+                 step.needs, step.acc,
+                 {} if op.bwd_scratch is not None else None))
         self._out_plan = [(slot, int(np.prod(meta[slot][0], dtype=np.int64)) == 1)
                           for slot in program.output_slots]
+        # Looked up as a module attribute at call time, so a wrapper
+        # installed on ``codegen.lower_program`` sees every lowering.
+        from . import codegen
+        self.run, self.source = codegen.lower_program(self)
 
     # ------------------------------------------------------------------
     def persistent_buffers(self) -> int:
@@ -201,108 +184,29 @@ class _ProgramRunner:
 
         Re-counted on demand; a steady-state replay must not grow it —
         ``CompiledStep.alloc_stats`` exposes the delta between calls.
+        The fused chains' copy buffers are preallocated by the lowering,
+        which reports their count as ``_n_lowered_bufs``.
         """
-        count = len(self.arena) + len(self.grad_bufs)
+        count = len(self.arena) + len(self.grad_bufs) + self._n_lowered_bufs
         for kind, _fn, _attrs, _ins, _out, node, extra in self._fwd_plan:
             if kind == _K_OUT:
                 count += 1
-            elif kind == _K_SCRATCH:
+            elif kind == _K_SCRATCH:   # plain op scratch (e.g. conv xp)
+                count += len(extra)
+            elif kind == _K_FUSED:
                 op = node.op
-                if isinstance(op, FusedOp):
-                    for skind, _f, _a, _g, sextra in op._fwd_plan:
-                        if skind == FusedOp._F_OUT:
-                            count += 1
-                        elif skind == FusedOp._F_SCRATCH:
-                            count += len(sextra)
-                    count += len(op._igbufs) + len(op._xbufs)
-                    for entry in op.bwd_plan:
-                        if entry[-1] is not None:
-                            count += len(entry[-1])
-                else:                  # plain op scratch (e.g. conv xp)
-                    count += len(extra)
+                for skind, _f, _a, _g, sextra in op._fwd_plan:
+                    if skind == FusedOp._F_OUT:
+                        count += 1
+                    elif skind == FusedOp._F_SCRATCH:
+                        count += len(sextra)
+                for entry in op.bwd_plan:
+                    if entry[-1] is not None:
+                        count += len(entry[-1])
         for *_rest, scratch in self._bwd_plan:
             if scratch is not None:
                 count += len(scratch)
         return count
-
-    def run(self, inputs: Tuple[np.ndarray, ...]) -> Tuple:
-        program = self.program
-        values = self.values
-        dtype = program.dtype
-
-        # Bind leaves live (the optimizer mutates parameter storage in
-        # place) and the fresh batch arrays.
-        for slot, t in program.leaves:
-            values[slot] = t.data
-        for slot, array in zip(program.input_slots, inputs):
-            if array.dtype != dtype:
-                array = array.astype(dtype)
-            values[slot] = array
-
-        # Forward sweep in recorded program order (effects interleaved).
-        for kind, fn, attrs, in_slots, out_slot, node, extra in self._fwd_plan:
-            ins = [values[s] for s in in_slots]
-            if kind == _K_FWD:
-                out, node.ctx = fn(ins, attrs)
-                # Mirror the Tensor() dtype coercion of eager dispatch.
-                if not isinstance(out, np.ndarray) or out.dtype != dtype:
-                    out = np.asarray(out, dtype=dtype)
-                values[out_slot] = out
-            elif kind == _K_OUT:
-                node.ctx = fn(ins, attrs, extra)
-                values[out_slot] = extra
-            elif kind == _K_SCRATCH:
-                out, node.ctx = fn(ins, attrs, extra)
-                if not isinstance(out, np.ndarray) or out.dtype != dtype:
-                    out = np.asarray(out, dtype=dtype)
-                values[out_slot] = out
-            elif kind == _K_INPLACE:
-                # Planner-approved: the overwritten input is dead and the
-                # op's backward is alias-tolerant for it.
-                buf = ins[extra]
-                node.ctx = fn(ins, attrs, buf)
-                values[out_slot] = buf
-            else:
-                fn(*ins)
-
-        # Backward sweep: precomputed schedule, preallocated buffers.
-        grad_bufs = self.grad_bufs
-        if self._bwd_plan:
-            grad_bufs[program.root_slot].fill(1.0)
-        for bwd, attrs, in_slots, out_slot, node, needs, acc, scratch \
-                in self._bwd_plan:
-            gsrc = grad_bufs[out_slot]
-            ins = [values[s] for s in in_slots]
-            if scratch is None:
-                grads = bwd(gsrc, ins, values[out_slot], node.ctx, attrs, needs)
-            else:
-                grads = bwd(gsrc, ins, values[out_slot], node.ctx, attrs,
-                            needs, scratch)
-            for target, g in zip(acc, grads):
-                if target is None or g is None:
-                    continue
-                slot, first, sole = target
-                if not first:
-                    grad_bufs[slot] += g
-                elif (sole and g.base is None and g is not gsrc
-                      and g.dtype == grad_bufs[slot].dtype):
-                    # Adopt a fresh kernel-owned array as this slot's
-                    # gradient: the slot has exactly one contribution, so
-                    # nothing accumulates into (or re-reads) the adopted
-                    # buffer, and a full copy pass is saved.  Views and the
-                    # upstream grad itself are excluded — adopting those
-                    # would alias another slot's buffer.
-                    grad_bufs[slot] = g
-                else:
-                    # 0.0 + g: identical to eager's zeros-then-add, without
-                    # the zeroing.
-                    np.add(g, 0.0, out=grad_bufs[slot])
-
-        for slot, t in program.grad_leaves:
-            t.grad = grad_bufs[slot]
-        return tuple(float(values[slot]) if scalar
-                     else np.array(values[slot], copy=True)
-                     for slot, scalar in self._out_plan)
 
 
 class CompiledStep:
@@ -323,15 +227,6 @@ class CompiledStep:
         faster) or ``"none"`` (replay the trace verbatim).  None defers to
         the ``REPRO_GRAPH_OPT`` environment variable, falling back to
         ``"default"``.
-    graph_exec:
-        Executor for the optimized program: ``"interp"`` (default — the
-        plan-tuple replay loop) or ``"source"`` (lower each program to one
-        specialized generated Python function via :mod:`.codegen`: slots
-        as locals, kernels bound in the closure, the backward schedule
-        unrolled — bit-identical, no per-node dispatch).  None defers to
-        ``REPRO_GRAPH_EXEC``.  A program that fails to lower falls back to
-        the interpreter (see :attr:`exec_fallbacks`); correctness never
-        depends on codegen.
     backward:
         False captures a *forward-only* step (validation): traced and
         replayed under ``no_grad``, with no backward schedule and no
@@ -343,18 +238,17 @@ class CompiledStep:
     """
 
     def __init__(self, step_fn: Callable, optimize: Optional[str] = None,
-                 graph_exec: Optional[str] = None, backward: bool = True):
+                 backward: bool = True):
         self.step_fn = step_fn
         self.backward = backward
         self.optimize = resolve_graph_opt(optimize)
-        self.graph_exec = resolve_graph_exec(graph_exec)
         self._runners: Dict[Tuple, _ProgramRunner] = {}
         self._opt_stats: Dict[Tuple, OptStats] = {}
         self._buffer_mark: Optional[int] = None
         self._eager = EagerStep(step_fn, backward)  # fallback, built once
         self.fallback_reason: Optional[str] = None
-        # Per-program lowering failures (source executor only): key -> why
-        # that program replays through the interpreter instead.
+        # Per-program lowering failures: key -> why that program did not
+        # lower (the step then runs eagerly, see fallback_reason).
         self.exec_fallbacks: Dict[Tuple, str] = {}
 
     # ------------------------------------------------------------------
@@ -401,43 +295,27 @@ class CompiledStep:
                                         else stats["persistent_buffers"] - previous)
         return stats
 
-    @property
-    def executors(self) -> Dict[Tuple, str]:
-        """Per-program executor actually in use: ``"interp"`` / ``"source"``.
-
-        With ``graph_exec="source"`` every entry should read ``"source"``;
-        an ``"interp"`` entry means that program failed to lower and its
-        reason is in :attr:`exec_fallbacks`.
-        """
-        return {key: runner.exec_mode
-                for key, runner in self._runners.items()}
-
     def dump_source(self) -> Dict[Tuple, str]:
-        """Generated source per compiled program (source executor only).
+        """Generated source per compiled program.
 
-        Keys match :attr:`compiled_shapes`; programs running interpreted
-        (including every program when ``graph_exec="interp"``) are absent.
-        The text is the exact code the step replays — diffable across runs,
-        greppable for dispatch regressions, pasteable into a repro script.
+        Keys match :attr:`compiled_shapes`.  The text is the exact code the
+        step replays — diffable across runs, greppable for dispatch
+        regressions, pasteable into a repro script.
         """
-        return {key: runner.source for key, runner in self._runners.items()
-                if getattr(runner, "source", None) is not None}
+        return {key: runner.source for key, runner in self._runners.items()}
 
     def diagnostics(self) -> Dict[str, object]:
         """One JSON-able report of what compilation did (CLI ``--verbose``).
 
-        Bundles the knobs in effect, per-program executor selection and
-        lowering fallbacks, the pass-pipeline statistics, the allocation
+        Bundles the optimization level, the eager fallback and per-program
+        lowering failures, the pass-pipeline statistics, the allocation
         accounting (note: reading it re-arms the steady-state marker, like
         :attr:`alloc_stats`), and the process-wide codegen cache counters.
         """
         from .codegen import codegen_cache_stats
         return {
             "optimize": self.optimize,
-            "graph_exec": self.graph_exec,
             "fallback_reason": self.fallback_reason,
-            "executors": {str(key): mode
-                          for key, mode in self.executors.items()},
             "exec_fallbacks": {str(key): reason
                                for key, reason in self.exec_fallbacks.items()},
             "opt_stats": {str(key): stats
@@ -471,7 +349,10 @@ class CompiledStep:
         The traced execution is itself a valid step (real loss, real
         gradients), so tracing never wastes a batch — and a failed capture
         simply leaves its eager results as the step's results.  The frozen
-        program is optimized before its first replay.
+        program is optimized and lowered before its first replay; a
+        program that fails to lower sends the step to its eager rung, the
+        reason recorded per key in :attr:`exec_fallbacks` — never raised
+        to the training loop.
         """
         with capture() as tracer:
             tx, ty = Tensor(x), Tensor(y)
@@ -493,20 +374,10 @@ class CompiledStep:
             return values
         key = (x.shape, y.shape, get_default_dtype())
         self._opt_stats[key] = optimize_program(program, self.optimize)
-        self._runners[key] = self._build_runner(program, key)
+        try:
+            self._runners[key] = _ProgramRunner(program)
+        except Exception as exc:  # lowering must never break training
+            reason = f"{type(exc).__name__}: {exc}"
+            self.exec_fallbacks[key] = reason
+            self.fallback_reason = f"program failed to lower: {reason}"
         return values
-
-    def _build_runner(self, program: GraphProgram, key: Tuple) -> _ProgramRunner:
-        """Instantiate the selected executor; lowering failures fall back.
-
-        The interpreter is always correct, so a program the source lowerer
-        cannot handle replays interpreted — recorded per key in
-        :attr:`exec_fallbacks`, never raised to the training loop.
-        """
-        if self.graph_exec == "source":
-            from .codegen import SourceRunner
-            try:
-                return SourceRunner(program)
-            except Exception as exc:  # lowering must never break training
-                self.exec_fallbacks[key] = f"{type(exc).__name__}: {exc}"
-        return _ProgramRunner(program)

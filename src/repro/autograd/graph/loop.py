@@ -1,18 +1,16 @@
 """Whole-loop capture: replay a full training epoch as one program.
 
-:class:`CompiledStep` (PRs 2/4/7) removed per-batch graph construction but
-still returns to Python between batches — optimizer stepping, gradient
-clipping and loss accounting run eagerly around every replay, capping the
-codegen executor's wins at per-batch dispatch.  :class:`CompiledEpoch`
-closes that loop: it records the step's compiled batch body, the
-optimizer's update kernels (:meth:`~repro.optim.optimizers.Optimizer.
-capture_updates`) and the clip kernel into a
-:class:`~repro.autograd.graph.ir.LoopNode` over the epoch's preloaded
-batch arrays, wraps it as a single-node epoch
+:class:`CompiledStep` removes per-batch graph construction but still
+returns to Python between batches — optimizer stepping, gradient clipping
+and loss accounting run eagerly around every replay, capping its wins at
+per-batch dispatch.  :class:`CompiledEpoch` closes that loop: it records
+the step's compiled batch body, the optimizer's update kernels
+(:meth:`~repro.optim.optimizers.Optimizer.capture_updates`) and the clip
+kernel into a :class:`~repro.autograd.graph.ir.LoopNode` over the epoch's
+preloaded batch arrays, wraps it as a single-node epoch
 :class:`~repro.autograd.graph.ir.GraphProgram`, and replays the whole
-epoch through one call — interpreted, or (``graph_exec="source"``) as one
-generated function whose body is a real ``for`` loop
-(:func:`repro.autograd.graph.codegen.lower_epoch`).
+epoch through one call: one generated function whose body is a real
+``for`` loop (:func:`repro.autograd.graph.codegen.lower_epoch`).
 
 State crosses iterations as data: parameter storage, Adam moments, the
 0-d step counters, BN running stats and the stacked trainer's ``active``
@@ -39,10 +37,13 @@ through a loop runner.
    body), a capture-aware optimizer, loop-carried-safe memory plans.
 2. *step* — any loop-level failure (:attr:`CompiledEpoch.
    loop_fallback_reason`) degrades to driving the compiled step per
-   batch.  Loop problems never poison the step.
-3. *eager* — only a capture failure inside the step itself
-   (``mark_capture_unsafe``, foreign graph tensors) reaches eager, via
-   ``CompiledStep.fallback_reason`` as before.
+   batch, and a signature whose epoch program fails to lower drives per
+   step too (:attr:`CompiledEpoch.exec_fallbacks`).  Loop problems never
+   poison the step.
+3. *eager* — only a failure inside the step itself (a capture failure
+   such as ``mark_capture_unsafe`` or foreign graph tensors, or a step
+   program that fails to lower) reaches eager, via
+   ``CompiledStep.fallback_reason``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..tensor import get_default_dtype
-from .executor import CompiledStep, resolve_graph_exec
+from . import codegen
+from .executor import CompiledStep
 from .ir import GraphProgram, LoopNode, epoch_program
 from .passes import loop_carried_safety
 
@@ -60,19 +62,18 @@ __all__ = ["CompiledEpoch"]
 
 
 class _LoopRunner:
-    """Interpreted replay of one :class:`LoopNode`: the epoch loop itself.
+    """One :class:`LoopNode`, lowered to a generated epoch function.
 
-    ``run(bodies, tail, total)`` replays the body once per batch pair,
-    then the post-batch updates — clip kernel over the grad-leaf gradients
-    (read fresh each batch: replay may *adopt* a new gradient array) and
-    the optimizer's update kernels in eager ``step()`` order — and adds
-    each batch's task loss to ``total`` (0.0, ``np.zeros(M)``, or the
-    partial sum of batches driven earlier in the same epoch), returning
-    it.  Hyperparameters are hoisted once per call, so between-epoch
-    scheduler ``set_lr`` calls stay visible.
+    :func:`.codegen.lower_epoch` emits the epoch loop as a real ``for``
+    loop: the body replay once per batch pair, then the post-batch updates
+    — clip kernel over the grad-leaf gradients (read fresh each batch:
+    replay may *adopt* a new gradient array) and the optimizer's update
+    kernels in eager ``step()`` order — adding each batch's task loss to
+    the running total.  Hyperparameters are hoisted once per call, so
+    between-epoch scheduler ``set_lr`` calls stay visible.  Lowering
+    errors propagate; :class:`CompiledEpoch` drives that signature per
+    step instead.
     """
-
-    exec_mode = "interp"
 
     def __init__(self, loop: LoopNode, program: GraphProgram,
                  body_runner, tail_runner, specs, clip_params,
@@ -88,30 +89,17 @@ class _LoopRunner:
         self.clip_kernel = clip_kernel
         self.vector_m = vector_m
         self.acc_index = acc_index
+        # The generated ``run(bodies, tail)`` takes its starting total
+        # through this one-slot list bound in its closure.
+        self._start: list = []
+        self._run, self.source = codegen.lower_epoch(self)
 
     def run(self, bodies: Sequence[Tuple], tail: Optional[Tuple], total):
-        for s in self.specs:
-            sync = getattr(s.param, "resync", None)
-            if sync is not None:
-                sync()
-        updates = [(s.kernel, s.param, s.state, s.hyper(s.group))
-                   for s in self.specs]
-        clip_params = self.clip_params
-        grad_clip = self.grad_clip
-        clip_kernel = self.clip_kernel
-        acc = self.acc_index
-        scalar = self.vector_m is None
-        pairs = [(self.body_runner.run, pair) for pair in bodies]
-        if tail is not None:
-            pairs.append((self.tail_runner.run, tail))
-        for body, pair in pairs:
-            o = body(pair)
-            if grad_clip is not None:
-                clip_kernel([p.grad for p in clip_params], grad_clip)
-            for kernel, p, state, hyper in updates:
-                kernel(p.data, p.grad, *state, *hyper)
-            total += o[acc] if scalar else np.asarray(o[acc])
-        return total
+        """Replay ``bodies`` (and ``tail``) adding each batch's task loss
+        to ``total`` (0.0, ``np.zeros(M)``, or the partial sum of batches
+        driven earlier in the same epoch); returns the new total."""
+        self._start.append(total)
+        return self._run(bodies, tail)
 
 
 class CompiledEpoch:
@@ -137,11 +125,9 @@ class CompiledEpoch:
         None for scalar task losses; the stack width M when the step's
         task output is a per-model vector (stacked trainer) — accumulation
         then matches the eager ``np.zeros(M)`` + ``+=`` exactly.
-    graph_exec:
-        ``"interp"`` or ``"source"`` for the *epoch* program; defaults to
-        the step's own executor mode.  Epoch lowering failures fall back
-        to the interpreted loop (:attr:`exec_fallbacks`), never to
-        per-step driving.
+
+    An epoch program that fails to lower drives its signature per step
+    (one rung down), the reason recorded in :attr:`exec_fallbacks`.
 
     ``run_batches(batches)`` returns the epoch's mean task loss, exactly
     like the eager per-batch loop it replaces.  The first epoch per batch
@@ -154,7 +140,6 @@ class CompiledEpoch:
                  clip_fn: Optional[Callable] = None,
                  clip_kernel: Optional[Callable] = None,
                  vector_m: Optional[int] = None,
-                 graph_exec: Optional[str] = None,
                  acc_index: int = 1):
         self.step = step
         self.optimizer = optimizer
@@ -163,10 +148,6 @@ class CompiledEpoch:
         self.clip_kernel = clip_kernel
         self.vector_m = vector_m
         self.acc_index = acc_index
-        if graph_exec is None:
-            graph_exec = getattr(step, "graph_exec", None)
-        self.graph_exec = resolve_graph_exec(graph_exec) \
-            if graph_exec is not None else "interp"
         self.loop_fallback_reason: Optional[str] = None
         self._disabled = False
         self.exec_fallbacks: Dict[Tuple, str] = {}
@@ -185,24 +166,16 @@ class CompiledEpoch:
         """The single-node epoch programs actually replayed."""
         return {key: runner.program for key, runner in self._runners.items()}
 
-    @property
-    def executors(self) -> Dict[Tuple, str]:
-        return {key: runner.exec_mode for key, runner in self._runners.items()}
-
     def dump_source(self) -> Dict[Tuple, str]:
-        """Generated epoch source per signature (source executor only)."""
-        return {key: runner.source for key, runner in self._runners.items()
-                if getattr(runner, "source", None) is not None}
+        """Generated epoch source per signature."""
+        return {key: runner.source for key, runner in self._runners.items()}
 
     def diagnostics(self) -> Dict[str, object]:
         """JSON-able report of what whole-loop capture did (picklable)."""
         return {
-            "graph_exec": self.graph_exec,
             "replayed_epochs": self.replayed_epochs,
             "driven_epochs": self.driven_epochs,
             "loop_fallback_reason": self.loop_fallback_reason,
-            "executors": {str(key): mode
-                          for key, mode in self.executors.items()},
             "exec_fallbacks": {str(key): reason
                                for key, reason in self.exec_fallbacks.items()},
             "loops": {str(key): repr(node)
@@ -347,10 +320,13 @@ class CompiledEpoch:
 
         ``keep=False`` builds a stand-in that is not cached: the tail-less
         runner replaying a first epoch whose ragged tail is still untraced.
+        None drives the epoch per step: the loop cannot capture, or this
+        signature's epoch program failed to lower (never retried).
         """
         key = (body_key, tail_key)
         runner = self._runners.get(key)
-        if runner is None and self._loop_ready():
+        if runner is None and key not in self.exec_fallbacks \
+                and self._loop_ready():
             runner = self._build_runner(key, body_key, tail_key)
             if runner is not None and keep:
                 self._runners[key] = runner
@@ -397,15 +373,10 @@ class CompiledEpoch:
                         carried=carried)
         program = epoch_program(loop, body_prog.dtype)
 
-        if self.graph_exec == "source":
-            from .codegen import SourceEpochRunner
-            try:
-                return SourceEpochRunner(
-                    loop, program, body_runner, tail_runner, specs,
-                    clip_params, self.grad_clip, self.clip_kernel,
-                    self.vector_m, self.acc_index)
-            except Exception as exc:  # lowering must never break training
-                self.exec_fallbacks[key] = f"{type(exc).__name__}: {exc}"
-        return _LoopRunner(loop, program, body_runner, tail_runner, specs,
-                           clip_params, self.grad_clip, self.clip_kernel,
-                           self.vector_m, self.acc_index)
+        try:
+            return _LoopRunner(loop, program, body_runner, tail_runner, specs,
+                               clip_params, self.grad_clip, self.clip_kernel,
+                               self.vector_m, self.acc_index)
+        except Exception as exc:  # lowering must never break training
+            self.exec_fallbacks[key] = f"{type(exc).__name__}: {exc}"
+            return None

@@ -1,10 +1,10 @@
 """Optimization passes over a captured :class:`GraphProgram`.
 
-PR 2's capture/replay executor replays the eager trace verbatim: one Python
-dispatch and (for most ops) one fresh allocation per node per batch.  This
-module rewrites the program the way a compiler would, while keeping replay
-**bit-identical** to eager execution — the parity suite in
-``tests/test_graph_executor.py`` is the contract every pass must honour.
+Replaying the eager trace verbatim costs one kernel call and (for most ops)
+one fresh allocation per node per batch.  This module rewrites the program
+the way a compiler would, while keeping replay **bit-identical** to eager
+execution — the executor parity suite is the contract every pass must
+honour.
 
 The pipeline (level ``"default"``) runs four passes, in order:
 
@@ -22,7 +22,7 @@ The pipeline (level ``"default"``) runs four passes, in order:
 3. **Op fusion** (:func:`fuse_chains`) — maximal *contiguous linear chains*
    (each node's output consumed solely by the next schedule entry) collapse
    into one :class:`FusedOp` that runs the same kernels in the same order
-   with one dispatch: conv+activation, bias+activation, BatchNorm affine
+   as one node: conv+activation, bias+activation, BatchNorm affine
    tails, loss reductions (``sub→abs→mean``), softmax/log-softmax tails,
    mask cumulative products.  The fused backward replays the original
    backward sub-steps in their original order and routes interior
@@ -211,52 +211,49 @@ class FusedOp:
     """An :class:`~repro.autograd.tensor.OpDef`-compatible fusion of a
     contiguous linear chain of recorded ops.
 
-    The fused forward runs the member kernels in recorded order on interior
-    scratch buffers (``fwd_out`` variants write into persistent per-chain
-    buffers); the fused backward replays the member backward kernels in
-    their original backward-schedule order, accumulating interior gradients
-    internally and returning external gradients in the exact sequence the
-    unfused accumulation loop would have processed them.  Both directions
-    therefore cost one dispatch instead of one per member, with unchanged
-    numerics.
+    A fused node carries two plans that lowering
+    (:mod:`repro.autograd.graph.codegen`) unrolls inline: ``_fwd_plan``
+    runs the member kernels in recorded order (``fwd_out`` variants write
+    into persistent per-chain buffers), and ``bwd_plan`` replays the
+    member backward kernels in their original backward-schedule order,
+    accumulating interior gradients internally and emitting external
+    gradients in the exact sequence the unfused accumulation loop would
+    have processed them.  Numerics are unchanged; to the planner and the
+    backward schedule the chain is one node.
 
     ``sub`` entries are ``(op, attrs, gather, meta)`` where ``gather`` maps
     kernel argument positions to fused inputs (index ``k >= 0`` reads
     ``ins[k]``) or interior results (``k < 0`` reads chain position ``~k``).
 
-    Interior gradients replicate the runner's adopt-or-copy discipline
-    (same ``first``/``sole`` flags, same ``np.add(g, 0.0, out=buf)`` copy)
-    rather than passing kernel outputs through raw: a kernel may return a
-    view or an oddly-strided array (``einsum`` products), and although the
-    *values* are identical, a downstream reduction's pairwise summation
-    order depends on memory layout — normalizing into contiguous buffers
-    exactly as the unfused runner does keeps every bit equal.
+    Interior gradients replicate the slot gradients' adopt-or-copy
+    discipline (same ``first``/``sole`` flags, same ``np.add(g, 0.0,
+    out=buf)`` copy) rather than passing kernel outputs through raw: a
+    kernel may return a view or an oddly-strided array (``einsum``
+    products), and although the *values* are identical, a downstream
+    reduction's pairwise summation order depends on memory layout —
+    normalizing into contiguous buffers exactly as unfused slots are keeps
+    every bit equal.
     """
 
-    # OpDef-compatible surface consumed by the executor / planner.  The
-    # fused bwd manages its members' scratch dicts itself, so it exposes
-    # bwd_scratch=None to the runner.
+    # OpDef-compatible surface consumed by the planner.  The fused
+    # backward manages its members' scratch dicts itself (``bwd_plan``),
+    # so it exposes bwd_scratch=None.
     fwd_out = None
     bwd_scratch = None
     inplace: Dict[int, Tuple[int, ...]] = {}
 
-    # Forward sub-entry kinds (mirrors the runner's plan-entry encoding).
+    # Forward sub-entry kinds.
     _F_FWD, _F_OUT, _F_SCRATCH = 0, 1, 2
 
-    def __init__(self, sub: Sequence[Tuple], dtype):
+    def __init__(self, sub: Sequence[Tuple]):
         self.sub = tuple(sub)
-        self.dtype = dtype
         self.name = "fused:" + "+".join(entry[0].name for entry in sub)
-        self.bwd_plan: Tuple = ()        # filled by _build_fused_backward
+        self.bwd_plan: Tuple = ()        # filled by _build_fused
         self.ext_value_reads: Set[int] = set()   # fused-input indices read by bwd
         self.out_value_read = False      # fused output value read by bwd
         self.bwd_uses: Tuple[str, ...] = ()
         self.view_of: Optional[int] = None
-        self._last = len(self.sub) - 1
-        self._igbufs: Dict[int, np.ndarray] = {}  # interior copy buffers
-        self._xbufs: Dict[Tuple[int, int], np.ndarray] = {}  # external copies
-        # Flattened forward plan with buffers/scratch bound up front, so
-        # the replay loop is as lean as the runner's own.
+        # Flattened forward plan with buffers/scratch bound up front.
         plan = []
         for op, sattrs, gather, meta in self.sub:
             if op.fwd_out is not None:
@@ -268,98 +265,9 @@ class FusedOp:
             else:
                 plan.append((self._F_FWD, op.fwd, sattrs, gather, None))
         self._fwd_plan = tuple(plan)
-        self._vals = [None] * len(self.sub)
-        self._ctxs = [None] * len(self.sub)
 
     def __repr__(self) -> str:
         return f"FusedOp({self.name!r}, n={len(self.sub)})"
-
-    # -- forward -------------------------------------------------------
-    def fwd(self, ins, attrs):
-        return self.fwd_scratch(ins, attrs, {})
-
-    def fwd_scratch(self, ins, attrs, scratch):
-        vals = self._vals
-        ctxs = self._ctxs
-        dtype = self.dtype
-        j = 0
-        for kind, fn, sattrs, gather, extra in self._fwd_plan:
-            sins = [ins[k] if k >= 0 else vals[~k] for k in gather]
-            if kind == 1:
-                ctxs[j] = fn(sins, sattrs, extra)
-                vals[j] = extra
-            else:
-                if kind == 2:
-                    out, ctxs[j] = fn(sins, sattrs, extra)
-                else:
-                    out, ctxs[j] = fn(sins, sattrs)
-                # Mirror the Tensor() dtype coercion of eager dispatch.
-                if not isinstance(out, np.ndarray) or out.dtype != dtype:
-                    out = np.asarray(out, dtype=dtype)
-                vals[j] = out
-            j += 1
-        return vals[-1], (vals, ctxs)
-
-    # -- backward ------------------------------------------------------
-    def bwd(self, g, ins, out, ctx, attrs, needs):
-        vals, ctxs = ctx
-        igrads: list = [None] * len(self.sub)
-        igrads[-1] = g
-        igbufs = self._igbufs
-        flat: List[Optional[np.ndarray]] = []
-        append = flat.append
-        for pos, fn, sattrs, gather, sneeds, int_routes, ext_routes, scratch \
-                in self.bwd_plan:
-            gnode = igrads[pos]
-            sins = [ins[k] if k >= 0 else vals[~k] for k in gather]
-            if scratch is None:
-                grads = fn(gnode, sins, vals[pos], ctxs[pos], sattrs, sneeds)
-            else:
-                grads = fn(gnode, sins, vals[pos], ctxs[pos], sattrs, sneeds,
-                           scratch)
-            # Interior gradients: same adopt-or-copy the runner applies to
-            # grad slots, so they match the unfused buffers bit for bit
-            # *and* in memory layout.
-            for gidx, target, first, sole, rdtype, rshape in int_routes:
-                gp = grads[gidx]
-                if gp is None:
-                    continue
-                if not first:
-                    igrads[target] += gp
-                elif (sole and gp.base is None and gp is not gnode
-                      and gp.dtype == rdtype):
-                    igrads[target] = gp
-                else:
-                    buf = igbufs.get(target)
-                    if buf is None:
-                        buf = igbufs[target] = np.empty(rshape, rdtype)
-                    np.add(gp, 0.0, out=buf)
-                    igrads[target] = buf
-            # Never hand one array to two accumulation targets, nor the
-            # sub-step's own gradient source (the runner may adopt returned
-            # arrays as gradient buffers, and an alias — e.g. add's (g, g)
-            # passthrough, or a persistent scratch buffer — would let one
-            # slot scribble over another).  Duplicates can only come from
-            # one kernel's own return tuple, so the check is per sub-step.
-            # The copy goes into a per-route persistent buffer so
-            # passthrough gradients do not reintroduce steady-state
-            # allocations.
-            prev = None
-            for gidx in ext_routes:
-                gp = grads[gidx]
-                if gp is not None:
-                    if gp is gnode or gp is prev:
-                        key = (pos, gidx)
-                        buf = self._xbufs.get(key)
-                        if buf is None or buf.shape != gp.shape \
-                                or buf.dtype != gp.dtype:
-                            buf = self._xbufs[key] = np.empty(gp.shape,
-                                                              gp.dtype)
-                        np.copyto(buf, gp)
-                        gp = buf
-                    prev = gp
-                append(gp)
-        return flat
 
 
 def _chain_runs(program: GraphProgram) -> List[List[int]]:
@@ -451,7 +359,7 @@ def _build_fused(program: GraphProgram, run: List[int],
         sub.append((nd.op, nd.attrs, tuple(gather),
                     program.slot_meta[nd.out_slot]))
 
-    fused = FusedOp(sub, program.dtype)
+    fused = FusedOp(sub)
     fused.view_of = _alias_ext(sub, len(sub) - 1)
     fused_node = OpNode(fused, tuple(ext_slots), nodes[-1].out_slot, {})
 
@@ -491,7 +399,7 @@ def _build_fused(program: GraphProgram, run: List[int],
             pp = pos_of_slot.get(s)
             if pp is not None and pp < p:
                 # Interior: keep the original first/sole flags so the fused
-                # backward replicates the runner's adopt-or-copy exactly.
+                # backward replicates the slots' adopt-or-copy exactly.
                 if acc_entry is not None:
                     ishape, idtype = sub[pp][3]
                     int_routes.append((gidx, pp, acc_entry[1], acc_entry[2],

@@ -194,10 +194,6 @@ class ProxylessTrainer:
                  warmup_epochs: int = 3, max_search_epochs: int = 50,
                  search_patience: int = 5, finetune_epochs: int = 30,
                  finetune_patience: int = 10, verbose: bool = False,
-                 compile_step: Optional[bool] = None,
-                 graph_opt: Optional[str] = None,
-                 graph_exec: Optional[str] = None,
-                 loop_capture: Optional[bool] = None,
                  compile_config: Optional[CompileConfig] = None):
         if not proxyless_layers(supernet):
             raise ValueError("model contains no ProxylessDilatedConv1d layers")
@@ -216,13 +212,7 @@ class ProxylessTrainer:
         # supernet search epochs sample a path per batch, which the
         # graph-capture executor cannot replay, so they always run eagerly
         # (the layers mark themselves capture-unsafe as a backstop).
-        self.compile_config = CompileConfig.resolve(
-            compile_config, compile_step=compile_step, graph_opt=graph_opt,
-            graph_exec=graph_exec, loop_capture=loop_capture)
-        self.compile_step = self.compile_config.compile_step
-        self.graph_opt = self.compile_config.graph_opt
-        self.graph_exec = self.compile_config.graph_exec
-        self.loop_capture = self.compile_config.loop_capture
+        self.compile_config = CompileConfig.resolve(compile_config)
         self.derived: Optional[Module] = None
 
     def _split_params(self):

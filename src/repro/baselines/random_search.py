@@ -73,10 +73,6 @@ def exhaustive_search(seed_model: Module, loss_fn: Callable, train_loader,
                       val_loader, epochs: int = 6, lr: float = 1e-3,
                       patience: int = 4,
                       max_configs: int = 64,
-                      compile_step: Optional[bool] = None,
-                      graph_opt: Optional[str] = None,
-                      graph_exec: Optional[str] = None,
-                      loop_capture: Optional[bool] = None,
                       compile_config: Optional[CompileConfig] = None
                       ) -> List[RandomSearchResult]:
     """Train *every* dilation assignment (ground truth for tiny spaces).
@@ -92,9 +88,7 @@ def exhaustive_search(seed_model: Module, loss_fn: Callable, train_loader,
     if size > max_configs:
         raise ValueError(f"search space has {size} configurations; exhaustive "
                          f"search is capped at {max_configs}")
-    cfg = CompileConfig.resolve(compile_config, compile_step=compile_step,
-                                graph_opt=graph_opt, graph_exec=graph_exec,
-                                loop_capture=loop_capture)
+    cfg = CompileConfig.resolve(compile_config)
     return [_train_configuration(seed_model, config, loss_fn, train_loader,
                                  val_loader, epochs, lr, patience,
                                  compile_config=cfg)
@@ -105,10 +99,6 @@ def random_search(seed_model: Module, loss_fn: Callable, train_loader, val_loade
                   count: int = 8, epochs: int = 10, lr: float = 1e-3,
                   patience: int = 5,
                   rng: Optional[np.random.Generator] = None,
-                  compile_step: Optional[bool] = None,
-                  graph_opt: Optional[str] = None,
-                  graph_exec: Optional[str] = None,
-                  loop_capture: Optional[bool] = None,
                   compile_config: Optional[CompileConfig] = None
                   ) -> List[RandomSearchResult]:
     """Train ``count`` random fixed-dilation networks; return all results.
@@ -119,9 +109,7 @@ def random_search(seed_model: Module, loss_fn: Callable, train_loader, val_loade
     and ``loop_capture`` replays each whole epoch as one loop program.
     """
     rng = rng or np.random.default_rng()
-    cfg = CompileConfig.resolve(compile_config, compile_step=compile_step,
-                                graph_opt=graph_opt, graph_exec=graph_exec,
-                                loop_capture=loop_capture)
+    cfg = CompileConfig.resolve(compile_config)
     results = []
     for config in random_configurations(seed_model, count, rng):
         results.append(_train_configuration(

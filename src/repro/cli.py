@@ -37,19 +37,17 @@ the graph-capture executor (see README "Compiled training step"); the
 ``--graph-opt {default,none}`` picks the optimization level the executor
 applies to each traced program (constant folding, dead-node elimination,
 op fusion, buffer-arena planning — bit-identical results either way;
-``REPRO_GRAPH_OPT`` is the environment equivalent).
-``--graph-exec {interp,source}`` picks the replay executor: ``interp``
-walks the precomputed plan, ``source`` runs specialized generated code
-(see README "Codegen executor"; ``REPRO_GRAPH_EXEC`` is the environment
-equivalent).  ``--loop-capture`` (implies ``--compile``;
+``REPRO_GRAPH_OPT`` is the environment equivalent).  Compiled steps
+replay as specialized generated code (see README "Codegen executor").
+``--loop-capture`` (implies ``--compile``;
 ``REPRO_LOOP_CAPTURE`` is the environment equivalent) replays each whole
 training epoch as one loop program — optimizer update kernels, gradient
 clipping and loss accounting inside, flat-packed optimizer state —
 degrading to per-step replay whenever a loop-level condition fails (see
 README "Whole-loop capture").  ``--dump-graph-source PATH`` writes the
 generated programs out for inspection and ``--verbose`` prints the
-compile diagnostics (executor selection, pass statistics, allocation
-accounting, codegen cache hits, loop replay counts and fallbacks).
+compile diagnostics (pass statistics, allocation accounting, codegen
+cache hits, loop replay counts and fallbacks).
 
 ``sweep`` additionally exposes the DSE engine knobs: ``--workers`` /
 ``--executor`` parallelize the grid, ``--stack N`` trains up to N
@@ -180,7 +178,6 @@ def _compile_config(args: argparse.Namespace):
     return CompileConfig(
         compile_step=True if getattr(args, "compile", False) else None,
         graph_opt=getattr(args, "graph_opt", None),
-        graph_exec=getattr(args, "graph_exec", None),
         loop_capture=True if getattr(args, "loop_capture", False) else None)
 
 
@@ -194,7 +191,7 @@ def _dump_graph_source(args: argparse.Namespace) -> None:
     with open(path, "w") as handle:
         if not sources:
             handle.write("# no graph programs were lowered to source in "
-                         "this run (use --compile --graph-exec source)\n")
+                         "this run (use --compile)\n")
         for label, source in sources.items():
             handle.write(f"# === program {label} ===\n{source}\n\n")
     print(f"graph source: {path} ({len(sources)} program(s))")
@@ -210,14 +207,7 @@ def _print_compile_stats(stats, phase: Optional[str] = None) -> None:
     if stats.get("fallback_reason"):
         print(f"{prefix} eager fallback: {stats['fallback_reason']}")
         return
-    print(f"{prefix} graph_opt={stats['optimize']} "
-          f"graph_exec={stats['graph_exec']}")
-    for key, mode in stats.get("executors", {}).items():
-        line = f"{prefix}   program {key}: executor={mode}"
-        reason = stats.get("exec_fallbacks", {}).get(key)
-        if reason:
-            line += f" (lowering fell back: {reason})"
-        print(line)
+    print(f"{prefix} graph_opt={stats['optimize']}")
     for key, opt in stats.get("opt_stats", {}).items():
         rendered = " ".join(f"{name}={value}" for name, value in opt.items())
         print(f"{prefix}   opt {key}: {rendered}")
@@ -233,17 +223,13 @@ def _print_compile_stats(stats, phase: Optional[str] = None) -> None:
     loop = stats.get("loop")
     if loop:
         print(f"{prefix}   loop: replayed={loop.get('replayed_epochs', 0)} "
-              f"driven={loop.get('driven_epochs', 0)} "
-              f"exec={loop.get('graph_exec')}")
+              f"driven={loop.get('driven_epochs', 0)}")
         reason = loop.get("loop_fallback_reason")
         if reason:
             print(f"{prefix}   loop fallback: {reason}")
-        for key, mode in loop.get("executors", {}).items():
-            line = f"{prefix}   loop program {key}: executor={mode}"
-            fell = loop.get("exec_fallbacks", {}).get(key)
-            if fell:
-                line += f" (lowering fell back: {fell})"
-            print(line)
+        for key, fell in loop.get("exec_fallbacks", {}).items():
+            print(f"{prefix}   loop program {key}: lowering failed, "
+                  f"driven per step: {fell}")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -495,13 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "fusion/memory planning), 'none' replays the "
                             "trace verbatim; results are bit-identical "
                             "(default: REPRO_GRAPH_OPT)")
-        p.add_argument("--graph-exec", choices=("interp", "source"),
-                       default=None, dest="graph_exec",
-                       help="replay executor for compiled steps: 'interp' "
-                            "walks the precomputed plan, 'source' runs "
-                            "specialized generated code (automatic interp "
-                            "fallback on lowering failure); results are "
-                            "bit-identical (default: REPRO_GRAPH_EXEC)")
         p.add_argument("--loop-capture", action="store_true",
                        dest="loop_capture",
                        help="capture the whole training loop: replay each "
@@ -513,13 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "bit-identical (default: REPRO_LOOP_CAPTURE)")
         p.add_argument("--dump-graph-source", type=str, default=None,
                        dest="dump_graph_source", metavar="PATH",
-                       help="after the run, write every program the source "
-                            "executor generated to PATH (inspectable/"
+                       help="after the run, write every program the "
+                            "compiled step generated to PATH (inspectable/"
                             "diffable Python)")
         p.add_argument("--verbose", action="store_true",
                        help="print compile diagnostics after training: "
-                            "executor per program, pass statistics, "
-                            "allocation accounting, codegen cache hits")
+                            "pass statistics, allocation accounting, "
+                            "codegen cache hits, fallbacks")
 
     p_train = sub.add_parser(
         "train", help="plain (no-NAS) training of a fixed-dilation network")

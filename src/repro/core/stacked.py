@@ -412,10 +412,6 @@ class StackedPITTrainer:
                  finetune_patience: int = 10, regularizer: str = "size",
                  channel_lam: float = 0.0,
                  grad_clip: Optional[float] = None, verbose: bool = False,
-                 compile_step: Optional[bool] = None,
-                 graph_opt: Optional[str] = None,
-                 graph_exec: Optional[str] = None,
-                 loop_capture: Optional[bool] = None,
                  compile_config: Optional[CompileConfig] = None,
                  checkpoint_dir: Optional[str] = None,
                  checkpoint_every: Optional[int] = None,
@@ -442,19 +438,12 @@ class StackedPITTrainer:
         self.regularizer = regularizer
         self.grad_clip = grad_clip
         self.verbose = verbose
-        cfg = CompileConfig.resolve(compile_config, compile_step=compile_step,
-                                    graph_opt=graph_opt,
-                                    graph_exec=graph_exec,
-                                    loop_capture=loop_capture)
+        cfg = CompileConfig.resolve(compile_config)
         # Resolve once at construction so a later env flip cannot split the
-        # three phases across different executors.
+        # three phases across different tiers.
         self.compile_config = CompileConfig(
             compile_step=cfg.want_compile(), graph_opt=cfg.resolved_opt(),
-            graph_exec=cfg.resolved_exec(), loop_capture=cfg.want_loop())
-        self.compile_step = self.compile_config.compile_step
-        self.graph_opt = self.compile_config.graph_opt
-        self.graph_exec = self.compile_config.graph_exec
-        self.loop_capture = self.compile_config.loop_capture
+            loop_capture=cfg.want_loop())
 
         # Per-slice checkpoint files: each slice writes a self-contained,
         # template-shaped snapshot, so a stack's resume composes with
@@ -528,9 +517,9 @@ class StackedPITTrainer:
             loss = (per_total * active_t).sum()
             return loss, task_vec
 
-        if self.compile_step:
-            return CompiledStep(step_fn, optimize=self.graph_opt,
-                                graph_exec=self.graph_exec)
+        if self.compile_config.compile_step:
+            return CompiledStep(step_fn,
+                                optimize=self.compile_config.graph_opt)
         return EagerStep(step_fn)
 
     def _make_eval_step(self) -> Optional[CompiledStep]:
@@ -546,7 +535,7 @@ class StackedPITTrainer:
         a length-M vector, and clipping uses the stacked per-model norm —
         otherwise identical to the sequential trainer's epoch loop.
         """
-        if not self.loop_capture:
+        if not self.compile_config.loop_capture:
             return None
         return CompiledEpoch(step, optimizer, grad_clip=self.grad_clip,
                              clip_fn=clip_grad_norm_stacked,

@@ -33,7 +33,6 @@ from ..autograd.graph import (
     CompiledEpoch,
     CompiledStep,
     EagerStep,
-    compile_step_default,
 )
 from ..nn.eval_utils import mean_loss_over_loader
 from ..nn.module import Module
@@ -112,8 +111,7 @@ def make_eval_step(model: Module, loss_fn: LossFn,
     if not compile_config.want_compile():
         return None
     return CompiledStep(lambda x, y: loss_fn(model(x), y),
-                        optimize=compile_config.graph_opt,
-                        graph_exec=compile_config.graph_exec, backward=False)
+                        optimize=compile_config.graph_opt, backward=False)
 
 
 def _step_function(model: Module, loss_fn: LossFn,
@@ -129,9 +127,6 @@ def _step_function(model: Module, loss_fn: LossFn,
 
 def make_training_step(model: Module, loss_fn: LossFn,
                        extra_loss: Optional[Callable[[], Tensor]] = None,
-                       compile_step: Optional[bool] = None,
-                       graph_opt: Optional[str] = None,
-                       graph_exec: Optional[str] = None,
                        compile_config: Optional[CompileConfig] = None):
     """Build the per-batch step runner: ``step(x, y) -> (loss, task_loss)``.
 
@@ -142,16 +137,13 @@ def make_training_step(model: Module, loss_fn: LossFn,
     step is traced on first use and replayed through the
     :mod:`repro.autograd.graph` executor — bit-identical results, no
     per-batch graph construction; unset fields defer to the ``REPRO_*``
-    environment defaults.  The loose ``compile_step`` / ``graph_opt`` /
-    ``graph_exec`` kwargs survive as a deprecated shim.  All combinations
-    are bit-identical, so these knobs only affect speed.
+    environment defaults.  All settings are bit-identical, so the config
+    only affects speed.
     """
-    cfg = CompileConfig.resolve(compile_config, compile_step=compile_step,
-                                graph_opt=graph_opt, graph_exec=graph_exec)
+    cfg = CompileConfig.resolve(compile_config)
     step_fn = _step_function(model, loss_fn, extra_loss)
     if cfg.want_compile():
-        return CompiledStep(step_fn, optimize=cfg.graph_opt,
-                            graph_exec=cfg.graph_exec)
+        return CompiledStep(step_fn, optimize=cfg.graph_opt)
     return EagerStep(step_fn)
 
 
@@ -171,11 +163,6 @@ def make_epoch_runner(step, optimizer, grad_clip: Optional[float] = None,
         return None
     return CompiledEpoch(step, optimizer, grad_clip=grad_clip,
                          clip_fn=clip_grad_norm, clip_kernel=clip_grads)
-
-
-def _resolve_compile(compile_step: Optional[bool]) -> bool:
-    """None means "whatever REPRO_COMPILE_STEP says"; booleans win."""
-    return compile_step_default() if compile_step is None else bool(compile_step)
 
 
 def _train_epoch(model: Module, loss_fn: LossFn, optimizer, loader,
@@ -240,10 +227,6 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
                 epochs: int = 50, lr: float = 1e-3, patience: int = 10,
                 grad_clip: Optional[float] = None,
                 weight_decay: float = 0.0,
-                compile_step: Optional[bool] = None,
-                graph_opt: Optional[str] = None,
-                graph_exec: Optional[str] = None,
-                loop_capture: Optional[bool] = None,
                 compile_config: Optional[CompileConfig] = None,
                 checkpoint_dir: Optional[str] = None,
                 checkpoint_every: Optional[int] = None,
@@ -256,7 +239,7 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
     the training step once and replays it via the graph executor
     (bit-identical, faster); whole-loop capture additionally replays each
     *epoch* as one loop program.  Unset fields defer to the ``REPRO_*``
-    environment defaults; the loose kwargs survive as a deprecated shim.
+    environment defaults.
 
     With ``checkpoint_dir`` set, the complete training state (model,
     Adam moments/counters, RNG streams, early-stop state) is snapshotted
@@ -264,9 +247,7 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
     run killed at an epoch boundary and restarted resumes from there
     bit-identically (see :mod:`repro.core.checkpoint`).
     """
-    cfg = CompileConfig.resolve(compile_config, compile_step=compile_step,
-                                graph_opt=graph_opt, graph_exec=graph_exec,
-                                loop_capture=loop_capture)
+    cfg = CompileConfig.resolve(compile_config)
     ckpt = TrainerCheckpoint.create(checkpoint_dir, checkpoint_tag,
                                     every=checkpoint_every,
                                     resume=checkpoint_resume)
@@ -390,37 +371,27 @@ class PITTrainer:
         Length / early stop of phase 3.
     regularizer:
         ``"size"`` (Eq. 6, the paper's choice) or ``"flops"``.
-    compile_step:
-        True traces each phase's training step once and replays it through
-        the graph executor (:mod:`repro.autograd.graph`) — bit-identical
-        losses/gradients/masks, no per-batch graph construction.  Each
-        phase compiles its own step (the pruning phase adds the
-        regularizer; fine-tuning freezes the masks).  None defers to the
-        ``REPRO_COMPILE_STEP`` environment default.
-    graph_opt:
-        Optimization level for compiled steps: ``"default"`` runs the pass
-        pipeline (constant folding — which collapses the frozen-mask
-        subgraphs of the fine-tuning phase — dead-node elimination, op
-        fusion, buffer-arena planning) on every traced program; ``"none"``
-        replays the trace verbatim.  None defers to ``REPRO_GRAPH_OPT``.
-        Results are bit-identical either way.
-    graph_exec:
-        Replay executor for compiled steps: ``"interp"`` walks the
-        precomputed plan, ``"source"`` runs specialized generated code
-        (:mod:`repro.autograd.graph.codegen`) with an automatic interp
-        fallback on lowering failure.  None defers to
-        ``REPRO_GRAPH_EXEC``.  Bit-identical either way.
-    loop_capture:
-        True replays each phase's epochs as one loop program
-        (:class:`repro.autograd.graph.CompiledEpoch`): the compiled batch
-        body, gradient clipping and the Adam update kernels close into a
-        single :class:`~repro.autograd.graph.LoopNode` with no trainer
-        Python between batches.  Implies step compilation.  None defers to
-        ``REPRO_LOOP_CAPTURE``.  Bit-identical either way.
     compile_config:
-        All four knobs as one :class:`repro.autograd.graph.CompileConfig`;
-        the loose kwargs above survive as a deprecated shim and lose to
-        explicit config fields.
+        The execution tier as one :class:`repro.autograd.graph.CompileConfig`
+        (None fields defer to the ``REPRO_*`` environment); every tier is
+        bit-identical to eager.
+
+        * ``compile_step`` — trace each phase's training step once and
+          replay it as generated code (:mod:`repro.autograd.graph`), no
+          per-batch graph construction.  Each phase compiles its own step
+          (the pruning phase adds the regularizer; fine-tuning freezes the
+          masks).
+        * ``graph_opt`` — ``"default"`` runs the pass pipeline (constant
+          folding — which collapses the frozen-mask subgraphs of the
+          fine-tuning phase — dead-node elimination, op fusion,
+          buffer-arena planning) on every traced program; ``"none"``
+          replays the trace verbatim.
+        * ``loop_capture`` — replay each phase's epochs as one loop
+          program (:class:`repro.autograd.graph.CompiledEpoch`): the
+          compiled batch body, gradient clipping and the Adam update
+          kernels close into a single
+          :class:`~repro.autograd.graph.LoopNode` with no trainer Python
+          between batches.  Implies step compilation.
     checkpoint_dir / checkpoint_every / checkpoint_tag / checkpoint_resume:
         With ``checkpoint_dir`` set, :meth:`fit` snapshots the complete
         training state every ``checkpoint_every`` epochs (counting
@@ -437,10 +408,6 @@ class PITTrainer:
                  finetune_patience: int = 10, regularizer: str = "size",
                  channel_lam: float = 0.0,
                  grad_clip: Optional[float] = None, verbose: bool = False,
-                 compile_step: Optional[bool] = None,
-                 graph_opt: Optional[str] = None,
-                 graph_exec: Optional[str] = None,
-                 loop_capture: Optional[bool] = None,
                  compile_config: Optional[CompileConfig] = None,
                  checkpoint_dir: Optional[str] = None,
                  checkpoint_every: Optional[int] = None,
@@ -462,19 +429,12 @@ class PITTrainer:
         self.channel_lam = channel_lam
         self.grad_clip = grad_clip
         self.verbose = verbose
-        cfg = CompileConfig.resolve(compile_config, compile_step=compile_step,
-                                    graph_opt=graph_opt,
-                                    graph_exec=graph_exec,
-                                    loop_capture=loop_capture)
-        # Environment-deferred fields resolve at construction (as the loose
-        # knobs always did), so fit() ignores later env flips.
+        cfg = CompileConfig.resolve(compile_config)
+        # Environment-deferred fields resolve at construction, so fit()
+        # ignores later env flips.
         self.compile_config = CompileConfig(
             compile_step=cfg.want_compile(), graph_opt=cfg.resolved_opt(),
-            graph_exec=cfg.resolved_exec(), loop_capture=cfg.want_loop())
-        self.compile_step = self.compile_config.compile_step
-        self.graph_opt = self.compile_config.graph_opt
-        self.graph_exec = self.compile_config.graph_exec
-        self.loop_capture = self.compile_config.loop_capture
+            loop_capture=cfg.want_loop())
         self._checkpoint = TrainerCheckpoint.create(
             checkpoint_dir, checkpoint_tag, every=checkpoint_every,
             resume=checkpoint_resume)

@@ -57,6 +57,7 @@ other objective (latency, energy, …) via ``objective=``.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import os
 import random
@@ -111,6 +112,11 @@ ENV_STACK = "REPRO_DSE_STACK"
 #: every engine construction (explicit arguments always win).
 ENV_WORKERS = "REPRO_DSE_WORKERS"
 ENV_EXECUTOR = "REPRO_DSE_EXECUTOR"
+
+#: keyword arguments ``trainer_kwargs`` may carry (besides the engine-owned
+#: entries it strips): everything PITTrainer takes after the model and loss
+_TRAINER_KWARGS = frozenset(
+    inspect.signature(PITTrainer).parameters) - {"model", "loss_fn"}
 
 
 def stack_width_default() -> int:
@@ -878,27 +884,27 @@ class DSEEngine:
         sweeps over different models or datasets.
     trainer_kwargs:
         Extra :class:`PITTrainer` arguments shared by every grid point
-        (``lam`` / ``warmup_epochs`` are stripped: the grid owns them;
-        the graph-execution knobs are stripped into ``compile_config``).
+        (``lam`` / ``warmup_epochs`` are stripped: the grid owns them; a
+        ``compile_config`` entry is taken as the engine's own).  Names
+        :class:`PITTrainer` does not take — the execution-tier knobs
+        included, which belong in ``compile_config`` — raise
+        :class:`TypeError` at construction.
     compile_config:
         A :class:`repro.autograd.graph.CompileConfig` selecting the
         execution tier for every grid point — step compilation
-        (``compile_step``), optimization level (``graph_opt``), executor
-        mode (``graph_exec``) and whole-loop capture (``loop_capture``).
-        Picklable, so it ships to process-pool workers as-is; ``None``
-        fields defer to the ``REPRO_*`` environment inside each worker.
-        Deliberately *not* part of the cache key — every tier is
-        bit-identical to eager, so points trained under any of them are
-        interchangeable.  The loose ``compile_step`` / ``graph_opt`` /
-        ``graph_exec`` / ``loop_capture`` keyword arguments survive as a
-        deprecated shim (config fields win).
+        (``compile_step``), optimization level (``graph_opt``) and
+        whole-loop capture (``loop_capture``).  Picklable, so it ships to
+        process-pool workers as-is; ``None`` fields defer to the
+        ``REPRO_*`` environment inside each worker.  Deliberately *not*
+        part of the cache key — every tier is bit-identical to eager, so
+        points trained under any of them are interchangeable.
     stack:
         Stacked-model execution width: up to ``stack`` same-warmup grid
         points train as *one* weight-stacked model
         (:class:`repro.core.StackedPITTrainer`) — one op graph, batched
         conv kernels, per-model λ and early stopping.  ``1`` (the default)
         is the exact sequential path; None defers to ``REPRO_DSE_STACK``.
-        Like ``compile_step``/``graph_opt`` this is an execution-speed
+        Like ``compile_config`` this is an execution-speed
         knob kept *out* of cache keys: stacked results match sequential
         within floating-point reduction-order tolerance, so stacked and
         sequential sweeps resume from and write to the same entries.
@@ -962,10 +968,6 @@ class DSEEngine:
                  cache_tag: str = "",
                  trainer_kwargs: Optional[Dict] = None,
                  verbose: bool = False,
-                 compile_step: Optional[bool] = None,
-                 graph_opt: Optional[str] = None,
-                 graph_exec: Optional[str] = None,
-                 loop_capture: Optional[bool] = None,
                  compile_config: Optional[CompileConfig] = None,
                  stack: Optional[int] = None,
                  point_evaluators: Optional[Sequence[Callable]] = None,
@@ -999,32 +1001,16 @@ class DSEEngine:
         self.trainer_kwargs = dict(trainer_kwargs or {})
         self.trainer_kwargs.pop("lam", None)
         self.trainer_kwargs.pop("warmup_epochs", None)
-        # The graph-execution knobs are execution-speed knobs with
-        # bit-identical results, so all of them are stripped from
-        # trainer_kwargs and kept out of cache keys.  Engine kwargs win
-        # over trainer_kwargs spellings; an explicit CompileConfig wins
-        # over both loose layers.
+        # The graph-execution tier has bit-identical results, so it is
+        # stripped from trainer_kwargs and kept out of cache keys.  The
+        # engine's compile_config wins over a trainer_kwargs one.
         kwargs_cfg = self.trainer_kwargs.pop("compile_config", None)
-        kwargs_compile = self.trainer_kwargs.pop("compile_step", None)
-        kwargs_opt = self.trainer_kwargs.pop("graph_opt", None)
-        kwargs_exec = self.trainer_kwargs.pop("graph_exec", None)
-        kwargs_loop = self.trainer_kwargs.pop("loop_capture", None)
-        cfg = CompileConfig.resolve(
-            compile_config if compile_config is not None else kwargs_cfg,
-            compile_step=(compile_step if compile_step is not None
-                          else kwargs_compile),
-            graph_opt=graph_opt if graph_opt is not None else kwargs_opt,
-            graph_exec=graph_exec if graph_exec is not None else kwargs_exec,
-            loop_capture=(loop_capture if loop_capture is not None
-                          else kwargs_loop))
-        self.compile_config = cfg.validate()
-        self.compile_step = cfg.compile_step
-        self.graph_opt = cfg.graph_opt
-        self.graph_exec = cfg.graph_exec
-        self.loop_capture = cfg.loop_capture
+        self.compile_config = CompileConfig.resolve(
+            compile_config if compile_config is not None
+            else kwargs_cfg).validate()
         # Stack width: how many same-warmup grid points train as one
         # weight-stacked model (see repro.core.StackedPITTrainer).  An
-        # execution-speed knob like compile_step/graph_opt — results match
+        # execution-speed knob like compile_config — results match
         # sequential within fp tolerance and the width never enters cache
         # keys, so stacked and sequential sweeps share entries.  None
         # defers to REPRO_DSE_STACK; 1 is the exact sequential path.
@@ -1043,6 +1029,16 @@ class DSEEngine:
         self.trainer_kwargs.pop("checkpoint_tag", None)
         self.trainer_kwargs.pop("checkpoint_tags", None)
         self.trainer_kwargs.pop("checkpoint_resume", None)
+        # Whatever remains reaches every point's trainer, so a name
+        # PITTrainer does not take (a loose compile knob such as
+        # compile_step=, or a typo) would turn into N isolated "failed"
+        # points; refuse it up front.
+        unknown = sorted(set(self.trainer_kwargs) - _TRAINER_KWARGS)
+        if unknown:
+            raise TypeError(
+                f"trainer_kwargs {unknown} are not PITTrainer arguments; "
+                f"choose the execution tier with "
+                f"compile_config=CompileConfig(...)")
         if checkpoint_dir is None:
             checkpoint_dir = kwargs_ckpt_dir
         if checkpoint_dir is None:
@@ -1410,10 +1406,6 @@ def run_dse(seed_factory: Callable[[], Module], loss_fn: Callable,
             executor: Optional[str] = None,
             cache_path: Optional[str] = None,
             cache_tag: str = "",
-            compile_step: Optional[bool] = None,
-            graph_opt: Optional[str] = None,
-            graph_exec: Optional[str] = None,
-            loop_capture: Optional[bool] = None,
             compile_config: Optional[CompileConfig] = None,
             stack: Optional[int] = None,
             point_evaluators: Optional[Sequence[Callable]] = None,
@@ -1435,10 +1427,7 @@ def run_dse(seed_factory: Callable[[], Module], loss_fn: Callable,
                        workers=workers, executor=executor,
                        cache_path=cache_path, cache_tag=cache_tag,
                        trainer_kwargs=trainer_kwargs,
-                       verbose=verbose, compile_step=compile_step,
-                       graph_opt=graph_opt, graph_exec=graph_exec,
-                       loop_capture=loop_capture,
-                       compile_config=compile_config,
+                       verbose=verbose, compile_config=compile_config,
                        stack=stack,
                        point_evaluators=point_evaluators,
                        retries=retries, retry_backoff=retry_backoff,

@@ -300,6 +300,7 @@ class TestLegacyBackendSignature:
         buffers like eager dispatch does)."""
         from repro.autograd import register_backend
         from repro.autograd.backends import _REGISTRY, EinsumBackend
+        from repro.autograd.graph import CompileConfig
         from repro.core.trainer import make_training_step
         from repro.nn import CausalConv1d, GlobalAvgPool1d, Linear, Sequential
         from repro.nn.losses import mse_loss
@@ -325,8 +326,9 @@ class TestLegacyBackendSignature:
                 CausalConv1d(2, 3, kernel_size=3, rng=rng,
                              backend="legacy-test"),
                 GlobalAvgPool1d(), Linear(3, 1, rng=rng))
-            step = make_training_step(model, mse_loss, compile_step=True,
-                                      graph_opt="default")
+            step = make_training_step(
+                model, mse_loss, compile_config=CompileConfig(
+                    compile_step=True, graph_opt="default"))
             x, y = rng.standard_normal((2, 2, 12)), rng.standard_normal((2, 1))
             first = step(x, y)    # trace (eager kernels, no scratch)
             second = step(x, y)   # replay goes through the scratch path

@@ -4,8 +4,7 @@ The contract under test: a training run killed at any epoch boundary —
 by a crash, a timeout or preemption — and resumed from its checkpoint is
 **bit-identical** to the uninterrupted run: same losses, same history,
 same parameters, same discovered dilations.  That must hold across
-eager / compiled-step / whole-loop execution, both graph executors, and
-the stacked trainer (per-slice checkpoint files).  Corrupt checkpoints
+eager / compiled-step / whole-loop execution and the stacked trainer (per-slice checkpoint files).  Corrupt checkpoints
 are quarantined and degrade to a fresh start, never a crash or a
 silently-wrong resume.
 """
@@ -74,10 +73,8 @@ SCHED = dict(warmup_epochs=1, prune_patience=2, max_prune_epochs=2,
 
 TIERS = {
     "eager": CompileConfig(),
-    "step-interp": CompileConfig(compile_step=True, graph_exec="interp"),
-    "step-source": CompileConfig(compile_step=True, graph_exec="source"),
-    "loop-interp": CompileConfig(loop_capture=True, graph_exec="interp"),
-    "loop-source": CompileConfig(loop_capture=True, graph_exec="source"),
+    "step": CompileConfig(compile_step=True),
+    "loop": CompileConfig(loop_capture=True),
 }
 
 
@@ -219,7 +216,7 @@ def _stacked_fingerprint(results, trainer):
 
 
 class TestStackedResume:
-    @pytest.mark.parametrize("tier", ["eager", "loop-source"])
+    @pytest.mark.parametrize("tier", ["eager", "loop"])
     def test_stacked_crash_then_resume_is_bit_identical(self, tier, tmp_path):
         cfg = TIERS[tier] if tier != "eager" else None
         ref = _stacked_fingerprint(*_fit_stacked(cfg=cfg))

@@ -232,35 +232,24 @@ class TestTrain:
         for command in ("train", "search", "sweep"):
             args = build_parser().parse_args([command])
             assert args.graph_opt is None
+            assert args.dump_graph_source is None
+            assert args.verbose is False
             args = build_parser().parse_args([command, "--graph-opt", "none"])
             assert args.graph_opt == "none"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--graph-opt", "O3"])
 
-    def test_graph_exec_parse(self):
-        # None lets REPRO_GRAPH_EXEC decide; explicit modes pass through.
-        for command in ("train", "search", "sweep"):
-            args = build_parser().parse_args([command])
-            assert args.graph_exec is None
-            assert args.dump_graph_source is None
-            assert args.verbose is False
-            args = build_parser().parse_args(
-                [command, "--graph-exec", "source"])
-            assert args.graph_exec == "source"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "--graph-exec", "cython"])
-
     def test_train_graph_exec_verbose_and_dump(self, capsys, tmp_path):
         dump = tmp_path / "program.py"
         code = main(["train", "--benchmark", "ppg", "--width", "0.1",
                      "--epochs", "1", "--patience", "1", "--quiet",
-                     "--compile", "--graph-exec", "source", "--verbose",
+                     "--compile", "--verbose",
                      "--dump-graph-source", str(dump)])
         assert code == 0
         out = capsys.readouterr().out
         # --verbose surfaces the compile diagnostics...
-        assert "graph_exec=source" in out
-        assert "executor=source" in out
+        assert "[compile] graph_opt=" in out
+        assert "eager fallback" not in out
         assert "codegen cache" in out
         assert "alloc:" in out
         # ...and the dump holds compilable generated source.
@@ -284,7 +273,7 @@ class TestTrain:
         code = main(["search", "--benchmark", "ppg", "--width", "0.1",
                      "--lam", "0.0", "--warmup", "1", "--epochs", "1",
                      "--finetune", "1", "--quiet", "--compile",
-                     "--graph-exec", "source", "--verbose"])
+                     "--verbose"])
         assert code == 0
         out = capsys.readouterr().out
         assert "dilations :" in out
@@ -295,7 +284,7 @@ class TestTrain:
         code = main(["sweep", "--benchmark", "ppg", "--width", "0.1",
                      "--lambdas", "0.5", "--gamma-lr", "0.1",
                      "--warmup", "0", "--epochs", "1", "--finetune", "0",
-                     "--quiet", "--compile", "--graph-exec", "source"])
+                     "--quiet", "--compile"])
         assert code == 0
         assert "pareto front" in capsys.readouterr().out
 

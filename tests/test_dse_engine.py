@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.autograd.graph import CompileConfig
 from repro.core import PITConv1d
 from repro.data import ArrayDataset, DataLoader
 from repro.evaluation import (
@@ -82,7 +83,8 @@ def _sweep(workers, cache_path=None, shuffle=False, factory=Tiny,
     train, val = _loaders(shuffle=shuffle)
     engine = DSEEngine(factory, mse_loss, train, val, workers=workers,
                        cache_path=cache_path, trainer_kwargs=dict(SCHEDULE),
-                       compile_step=compile_step, graph_opt=graph_opt)
+                       compile_config=CompileConfig(compile_step=compile_step,
+                                                    graph_opt=graph_opt))
     return engine.run(LAMBDAS, warmups=WARMUPS)
 
 
@@ -126,15 +128,34 @@ class TestParallelDeterminism:
         _assert_identical(eager, parallel_compiled)
 
     def test_compile_flag_accepted_via_trainer_kwargs(self):
-        """Legacy spelling: compile_step inside trainer_kwargs is stripped
-        into the engine knob (and stays out of cache keys)."""
+        """A compile_config inside trainer_kwargs is stripped into the
+        engine's own (and stays out of cache keys)."""
         train, val = _loaders()
         engine = DSEEngine(Tiny, mse_loss, train, val,
-                           trainer_kwargs=dict(SCHEDULE, compile_step=True))
-        assert engine.compile_step is True
-        assert "compile_step" not in engine.trainer_kwargs
+                           trainer_kwargs=dict(
+                               SCHEDULE,
+                               compile_config=CompileConfig(
+                                   compile_step=True)))
+        assert engine.compile_config.compile_step is True
+        assert "compile_config" not in engine.trainer_kwargs
         _assert_identical(_sweep(workers=0),
                           engine.run(LAMBDAS, warmups=WARMUPS))
+
+    def test_loose_compile_kwargs_rejected_at_construction(self):
+        """Loose compile names in trainer_kwargs would reach every point's
+        trainer and fail each one in isolation; the engine refuses them
+        up front, pointing at compile_config."""
+        train, val = _loaders()
+        for name, value in (("compile_step", True), ("graph_opt", "none"),
+                            ("graph_exec", "source"),
+                            ("loop_capture", True)):
+            with pytest.raises(TypeError, match="compile_config"):
+                DSEEngine(Tiny, mse_loss, train, val,
+                          trainer_kwargs=dict(SCHEDULE, **{name: value}))
+        with pytest.raises(TypeError, match="CompileConfig"):
+            DSEEngine(Tiny, mse_loss, train, val,
+                      trainer_kwargs=dict(SCHEDULE,
+                                          compile_config={"compile_step": 1}))
 
     def test_graph_opt_levels_bit_identical(self):
         """The optimizer passes must not change sweep results either way."""
@@ -151,9 +172,11 @@ class TestParallelDeterminism:
         unoptimized sweeps share cache entries."""
         train, val = _loaders()
         engine = DSEEngine(Tiny, mse_loss, train, val,
-                           trainer_kwargs=dict(SCHEDULE, graph_opt="none"))
-        assert engine.graph_opt == "none"
-        assert "graph_opt" not in engine.trainer_kwargs
+                           trainer_kwargs=dict(
+                               SCHEDULE,
+                               compile_config=CompileConfig(graph_opt="none")))
+        assert engine.compile_config.graph_opt == "none"
+        assert "compile_config" not in engine.trainer_kwargs
 
         cache = str(tmp_path / "cache.json")
         first = _sweep(workers=0, cache_path=cache, compile_step=True,

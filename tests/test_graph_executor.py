@@ -24,6 +24,7 @@ import pytest
 
 import repro
 from repro.autograd import CompiledStep, EagerStep, set_default_dtype
+from repro.autograd.graph import CompileConfig
 from repro.core import PITTrainer, network_dilations, size_regularizer
 from repro.core.channel_mask import PITChannelConv1d
 from repro.core.trainer import make_training_step, train_plain
@@ -42,19 +43,6 @@ from repro.nn import (
     polyphonic_nll,
 )
 from repro.optim import Adam
-
-
-@pytest.fixture(params=["interp", "source"], autouse=True)
-def graph_exec_leg(request, monkeypatch):
-    """Route the whole parity surface through both replay executors.
-
-    Every test in this module runs twice: once with the interpreted replay
-    and once with the codegen (generated-source) executor, selected via
-    the same REPRO_GRAPH_EXEC default the CI leg uses.  Source-mode replay
-    must be bit-identical, so no assertion changes — only the executor.
-    """
-    monkeypatch.setenv("REPRO_GRAPH_EXEC", request.param)
-    return request.param
 
 
 def batches_of(xshape, yshape, count=3, seed=0):
@@ -94,8 +82,10 @@ def run_parity(make_model, batches, loss_fn, extra_loss_fn=None, lr=1e-3,
                                        ("compiled", compiled_model, True)):
         extra = (lambda m=model: extra_loss_fn(m)) if extra_loss_fn else None
         runners[label] = (model,
-                          make_training_step(model, loss_fn, extra_loss=extra,
-                                             compile_step=compile_step),
+                          make_training_step(
+                              model, loss_fn, extra_loss=extra,
+                              compile_config=CompileConfig(
+                                  compile_step=compile_step)),
                           Adam(model.parameters(), lr=lr))
     losses = {"eager": [], "compiled": []}
     for x, y in batches:
@@ -111,11 +101,11 @@ def run_parity(make_model, batches, loss_fn, extra_loss_fn=None, lr=1e-3,
     if expect_compiled:
         assert compiled_step.fallback_reason is None, compiled_step.fallback_reason
         assert compiled_step.compiled_shapes
-        # Lowering must actually be in effect on the source leg — a silent
-        # interp fallback would make the parity assertions vacuous.
+        # Lowering must actually be in effect — a silent eager fallback
+        # would make the parity assertions vacuous.
         assert not compiled_step.exec_fallbacks, compiled_step.exec_fallbacks
-        assert all(mode == compiled_step.graph_exec
-                   for mode in compiled_step.executors.values())
+        assert (compiled_step.dump_source().keys()
+                == set(compiled_step.compiled_shapes))
     assert_same_grads(eager_model, compiled_model, context)
     assert_same_state(eager_model, compiled_model, context)
     return compiled_step
@@ -157,13 +147,16 @@ class TestConvGrid:
         # Replays after a backend switch reproduce the traced kernels: the
         # results must equal a run that never switched.
         model = make_model()
-        reference = make_training_step(model, mse_loss, compile_step=False)
+        reference = make_training_step(
+            model, mse_loss, compile_config=CompileConfig(compile_step=False))
         other = "im2col" if backend == "einsum" else "einsum"
         with repro.use_backend(backend):
             expected = [reference(x, y) for x, y in batches]
         model2 = make_model()
         with repro.use_backend(backend):
-            compiled = make_training_step(model2, mse_loss, compile_step=True)
+            compiled = make_training_step(
+                model2, mse_loss,
+                compile_config=CompileConfig(compile_step=True))
             compiled(*batches[0])
         with repro.use_backend(other):
             replayed = [compiled(x, y) for x, y in batches[1:]]
@@ -232,7 +225,8 @@ class TestPITTrainerParity:
                                  warmup_epochs=1, max_prune_epochs=2,
                                  prune_patience=2, finetune_epochs=1,
                                  finetune_patience=1,
-                                 compile_step=compile_step)
+                                 compile_config=CompileConfig(
+                                     compile_step=compile_step))
             outcome = trainer.fit(train, val)
             results[compile_step] = (outcome, model)
         eager, compiled = results[False][0], results[True][0]
@@ -248,10 +242,10 @@ class TestPITTrainerParity:
         monkeypatch.setenv("REPRO_COMPILE_STEP", "1")
         model = temponet_seed(width_mult=0.125, seed=3)
         trainer = PITTrainer(model, mae_loss, lam=0.5)
-        assert trainer.compile_step is True
+        assert trainer.compile_config.compile_step is True
         monkeypatch.setenv("REPRO_COMPILE_STEP", "0")
         trainer = PITTrainer(model, mae_loss, lam=0.5)
-        assert trainer.compile_step is False
+        assert trainer.compile_config.compile_step is False
 
 
 # ----------------------------------------------------------------------
@@ -274,9 +268,12 @@ class TestFallbacks:
 
         eager_model = make_model()
         compiled_model = copy.deepcopy(eager_model)
-        eager = make_training_step(eager_model, mse_loss, compile_step=False)
-        compiled = make_training_step(compiled_model, mse_loss,
-                                      compile_step=True)
+        eager = make_training_step(
+            eager_model, mse_loss,
+            compile_config=CompileConfig(compile_step=False))
+        compiled = make_training_step(
+            compiled_model, mse_loss,
+            compile_config=CompileConfig(compile_step=True))
         for epoch in range(2):
             for x, y in loader:
                 eager_model.zero_grad()
@@ -315,7 +312,8 @@ class TestFallbacks:
                                rng=np.random.default_rng(1))
             val = DataLoader(data, 4)
             return train_plain(model, mse_loss, train, val, epochs=3,
-                               patience=2, compile_step=compile_step)
+                               patience=2, compile_config=CompileConfig(
+                                   compile_step=compile_step))
         eager, compiled = run(False), run(True)
         assert compiled.best_val == eager.best_val
         assert compiled.history == eager.history
@@ -329,7 +327,6 @@ class TestForwardOnly:
         running statistics live, so after training moves them the replay
         still equals eager evaluation bit for bit (per batch shape: the
         short last validation batch re-traces once)."""
-        from repro.autograd.graph import CompileConfig
         from repro.core.trainer import evaluate, make_eval_step
         from repro.nn import BatchNorm1d
         rng = np.random.default_rng(0)
@@ -410,10 +407,7 @@ def _time_interleaved(steps, model, x, y):
 @pytest.mark.perf
 @pytest.mark.skipif(not os.environ.get("REPRO_RUN_PERF"),
                     reason="perf smoke test; set REPRO_RUN_PERF=1 to run")
-def test_compiled_step_speedup(graph_exec_leg):
-    if graph_exec_leg != "interp":
-        pytest.skip("this bench measures the interpreted replay; the "
-                    "codegen executor has its own (BENCH_codegen.json)")
+def test_compiled_step_speedup():
     rows = []
     try:
         for dtype, backend, batch in PERF_CONFIGS:

@@ -4,14 +4,14 @@ Locks :class:`repro.autograd.graph.CompiledEpoch` — one loop program per
 epoch, optimizer update kernels and grad clipping included — to the
 per-step compiled path and to eager execution: bit-identical losses,
 parameters, Adam moments (``m`` / ``v`` / step counters) and early-stop
-trajectories, across both replay executors, both conv backends, both
-dtypes, and the stacked trainer.
+trajectories, across both conv backends, both dtypes, and the stacked
+trainer.
 
 Also covers the loop structure itself (a replayed epoch is a single
-:class:`LoopNode` program; the source executor emits a real ``for`` loop),
-the capture-unsafe fallback ladder (loop → per-step → eager, each rung
-degrading without poisoning the one below), and the consolidated
-:class:`CompileConfig` knob object with its deprecation shim.
+:class:`LoopNode` program lowered to a real ``for`` loop), the fallback
+ladder (loop → per-step → eager, each rung degrading without poisoning
+the one below, epoch lowering failures included), and the consolidated
+:class:`CompileConfig` knob object.
 """
 
 import copy
@@ -35,7 +35,7 @@ from repro.autograd.graph import (
     LoopNode,
     loop_capture_default,
 )
-from repro.autograd.graph import config as graph_config
+from repro.autograd.graph import codegen
 from repro.core import PITTrainer
 from repro.core.pit_conv import PITConv1d
 from repro.core.stacked import StackedPITTrainer
@@ -53,13 +53,6 @@ from repro.nn import (
     mse_loss,
 )
 from repro.optim import Adam, clip_grad_norm
-
-
-@pytest.fixture(params=["interp", "source"], autouse=True)
-def graph_exec_leg(request, monkeypatch):
-    """Run every test under both the interpreted and the codegen executor."""
-    monkeypatch.setenv("REPRO_GRAPH_EXEC", request.param)
-    return request.param
 
 
 @pytest.fixture
@@ -403,24 +396,14 @@ class TestLoopStructure:
         assert len(node.updates) > 0              # captured Adam kernels
         assert node.carried["params"]             # state crossed as data
 
-    def test_source_executor_emits_real_for_loop(self, graph_exec_leg):
-        if graph_exec_leg != "source":
-            pytest.skip("codegen executor leg only")
+    def test_source_executor_emits_real_for_loop(self):
         batches = batches_of(count=3, tail=2)
         _, _, _, epoch = run_leg("loop", batches)
-        assert epoch.executors and all(
-            mode == "source" for mode in epoch.executors.values())
+        assert not epoch.exec_fallbacks
+        assert epoch.dump_source().keys() == epoch.epoch_programs.keys()
         (source,) = epoch.dump_source().values()
         assert "for pair in bodies:" in source
         assert "def run(bodies, tail):" in source
-
-    def test_interp_executor_when_requested(self, graph_exec_leg):
-        if graph_exec_leg != "interp":
-            pytest.skip("interpreter leg only")
-        batches = batches_of(count=3)
-        _, _, _, epoch = run_leg("loop", batches)
-        assert all(mode == "interp" for mode in epoch.executors.values())
-        assert epoch.dump_source() == {}
 
     def test_diagnostics_are_jsonable(self):
         import json
@@ -568,6 +551,33 @@ class TestFallbackLadder:
         assert "eager" in epoch.loop_fallback_reason     # rung 2 explains
         assert epoch.replayed_epochs == 0
 
+    @pytest.mark.parametrize("tail", [None, 2], ids=["no-tail", "tail"])
+    def test_epoch_lowering_failure_drives_per_step(self, monkeypatch, tail):
+        """An epoch program that fails to lower drops one rung: that
+        signature drives the compiled step per batch, the reason is
+        recorded, lowering is not retried, and every bit matches eager."""
+        calls = []
+
+        def broken(runner):
+            calls.append(runner)
+            raise RuntimeError("injected epoch emit failure")
+
+        batches = batches_of(count=3, tail=tail)
+        eager = run_leg("eager", batches)
+        monkeypatch.setattr(codegen, "_emit_epoch", broken)
+        loop = run_leg("loop", batches)
+        epoch = loop[3]
+        assert epoch.replayed_epochs == 0
+        assert epoch.driven_epochs == 3
+        assert epoch.epoch_programs == {}
+        assert epoch.exec_fallbacks
+        assert all("injected epoch emit failure" in reason
+                   for reason in epoch.exec_fallbacks.values())
+        assert len(calls) == len(epoch.exec_fallbacks)   # never retried
+        assert epoch.loop_fallback_reason is None
+        assert epoch.step.fallback_reason is None       # the step is fine
+        assert_leg_parity(eager, loop, "epoch lowering failure")
+
     def test_optimizer_without_capture_updates_drives(self):
         class Legacy(Adam):
             capture_updates = None
@@ -627,7 +637,7 @@ class TestFallbackLadder:
 
 
 # ----------------------------------------------------------------------
-# CompileConfig: one knob object, env defaults, deprecation shim
+# CompileConfig: one knob object, env defaults
 # ----------------------------------------------------------------------
 
 class TestCompileConfig:
@@ -656,24 +666,6 @@ class TestCompileConfig:
         assert not cfg.want_compile()
         assert not cfg.want_loop()
 
-    def test_resolve_config_fields_win_over_legacy(self):
-        base = CompileConfig(graph_opt="none")
-        with pytest.warns(DeprecationWarning):
-            self._reset_shim_warning()
-            merged = CompileConfig.resolve(base, graph_opt="default",
-                                           compile_step=True)
-        assert merged.graph_opt == "none"       # config wins
-        assert merged.compile_step is True      # legacy fills the gap
-
-    def test_resolve_legacy_kwargs_warn_once(self):
-        self._reset_shim_warning()
-        with pytest.warns(DeprecationWarning):
-            CompileConfig.resolve(None, compile_step=True)
-        import warnings as warnings_module
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            CompileConfig.resolve(None, compile_step=True)  # silent now
-
     def test_resolve_rejects_wrong_type(self):
         with pytest.raises(TypeError, match="CompileConfig"):
             CompileConfig.resolve({"compile_step": True})
@@ -681,25 +673,8 @@ class TestCompileConfig:
     def test_validate_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             CompileConfig(graph_opt="aggressive").validate()
-        with pytest.raises(ValueError):
-            CompileConfig(graph_exec="jit").validate()
 
     def test_picklable(self):
         cfg = CompileConfig(compile_step=True, graph_opt="default",
-                            graph_exec="source", loop_capture=True)
+                            loop_capture=True)
         assert pickle.loads(pickle.dumps(cfg)) == cfg
-
-    def test_trainer_shim_still_works(self):
-        """The loose kwargs keep selecting the same behavior via the shim."""
-        self._reset_shim_warning()
-        rng = np.random.default_rng(0)
-        x, y = rng.standard_normal((8, 2, 16)), rng.standard_normal((8, 1))
-        train = DataLoader(ArrayDataset(x, y), 4)
-        with pytest.warns(DeprecationWarning):
-            result = train_plain(small_net(), mse_loss, train, train,
-                                 epochs=1, patience=1, compile_step=True)
-        assert result.compile_stats is not None
-
-    @staticmethod
-    def _reset_shim_warning():
-        graph_config._warned_legacy = False

@@ -18,7 +18,7 @@ from repro.autograd import (
     record_side_effect,
     set_default_dtype,
 )
-from repro.autograd.graph import build_program, capture
+from repro.autograd.graph import CompileConfig, build_program, capture
 from repro.autograd.graph.ir import EffectNode, OpNode
 from repro.autograd.graph.passes import (
     ENV_GRAPH_OPT,
@@ -45,6 +45,8 @@ from repro.nn import (
     polyphonic_nll,
 )
 from repro.optim import Adam
+
+OPTIMIZED = CompileConfig(compile_step=True, graph_opt="default")
 
 
 def trace_program(step_fn, x, y):
@@ -162,8 +164,8 @@ class TestFoldConstants:
         model = Sequential(PITConv1d(2, 3, rf_max=9, rng=rng),
                            GlobalAvgPool1d(), Linear(3, 1, rng=rng))
         model[0].freeze()
-        step = make_training_step(model, mse_loss, compile_step=True,
-                                  graph_opt="default")
+        step = make_training_step(model, mse_loss,
+                                  compile_config=OPTIMIZED)
         x, y = rng.standard_normal((2, 2, 16)), rng.standard_normal((2, 1))
         step(x, y)
         stats = next(iter(step.opt_stats.values()))
@@ -312,8 +314,8 @@ class TestMemoryPlan:
 
     def test_alloc_stats_zero_steady_state_growth(self):
         model = self._conv_model()
-        step = make_training_step(model, mse_loss, compile_step=True,
-                                  graph_opt="default")
+        step = make_training_step(model, mse_loss,
+                                  compile_config=OPTIMIZED)
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal((4, 3, 32)), rng.standard_normal((4, 2))
         step(x, y)          # trace
@@ -371,13 +373,12 @@ class TestMemoryPlan:
 # Whole-pipeline differential: optimized == unoptimized, bit for bit
 # ----------------------------------------------------------------------
 
-def run_training(make_model, batches, loss_fn, extra_loss_fn, graph_opt,
-                 graph_exec="interp"):
+def run_training(make_model, batches, loss_fn, extra_loss_fn, graph_opt):
     model = make_model()
     extra = (lambda: extra_loss_fn(model)) if extra_loss_fn else None
     step = make_training_step(model, loss_fn, extra_loss=extra,
-                              compile_step=True, graph_opt=graph_opt,
-                              graph_exec=graph_exec)
+                              compile_config=CompileConfig(
+                                  compile_step=True, graph_opt=graph_opt))
     optimizer = Adam(model.parameters(), lr=1e-3)
     losses = []
     for x, y in batches:
@@ -387,7 +388,7 @@ def run_training(make_model, batches, loss_fn, extra_loss_fn, graph_opt,
         optimizer.step()
     assert step.fallback_reason is None, step.fallback_reason
     assert not step.exec_fallbacks, step.exec_fallbacks
-    assert all(mode == graph_exec for mode in step.executors.values())
+    assert step.dump_source().keys() == set(step.compiled_shapes)
     return losses, model.state_dict(), step
 
 
@@ -397,22 +398,20 @@ class TestPipelineParity:
         return [(rng.standard_normal(xshape), rng.standard_normal(yshape))
                 for _ in range(count)]
 
-    @pytest.mark.parametrize("graph_exec", ["interp", "source"])
     @pytest.mark.parametrize("seed_fn,xshape,yshape,loss_fn", [
         (lambda: temponet_seed(width_mult=0.125, seed=3), (8, 4, 256),
          (8, 1), mae_loss),
         (lambda: restcn_seed(width_mult=0.05, seed=1), (4, 88, 48),
          (4, 88, 48), polyphonic_nll),
     ])
-    def test_tcn_seeds_bit_identical(self, seed_fn, xshape, yshape, loss_fn,
-                                     graph_exec):
+    def test_tcn_seeds_bit_identical(self, seed_fn, xshape, yshape, loss_fn):
         batches = self._batches(xshape, yshape)
         base, state_a, _ = run_training(
             seed_fn, batches, loss_fn,
             lambda m: size_regularizer(m, 0.02), "none")
         opt, state_b, step = run_training(
             seed_fn, batches, loss_fn,
-            lambda m: size_regularizer(m, 0.02), "default", graph_exec)
+            lambda m: size_regularizer(m, 0.02), "default")
         assert base == opt
         for key in state_a:
             assert np.array_equal(state_a[key], state_b[key]), key
@@ -421,9 +420,8 @@ class TestPipelineParity:
 
     def test_three_phase_pit_bit_identical(self):
         outcomes = {}
-        configs = [("none", "interp"), ("default", "interp"),
-                   ("default", "source")]
-        for graph_opt, graph_exec in configs:
+        configs = ["none", "default"]
+        for graph_opt in configs:
             rng = np.random.default_rng(0)
             data = ArrayDataset(rng.standard_normal((24, 4, 256)),
                                 rng.standard_normal((24, 1)))
@@ -434,10 +432,11 @@ class TestPipelineParity:
             trainer = PITTrainer(model, mae_loss, lam=0.5, gamma_lr=0.1,
                                  warmup_epochs=1, max_prune_epochs=2,
                                  prune_patience=2, finetune_epochs=1,
-                                 finetune_patience=1, compile_step=True,
-                                 graph_opt=graph_opt, graph_exec=graph_exec)
-            outcomes[(graph_opt, graph_exec)] = (trainer.fit(train, val),
-                                                 model.state_dict())
+                                 finetune_patience=1,
+                                 compile_config=CompileConfig(
+                                     compile_step=True, graph_opt=graph_opt))
+            outcomes[graph_opt] = (trainer.fit(train, val),
+                                   model.state_dict())
         base = outcomes[configs[0]]
         for config in configs[1:]:
             opt = outcomes[config]
@@ -451,8 +450,8 @@ class TestPipelineParity:
         rng = np.random.default_rng(5)
         model = Sequential(CausalConv1d(2, 4, kernel_size=3, rng=rng),
                            ReLU(), GlobalAvgPool1d(), Linear(4, 1, rng=rng))
-        step = make_training_step(model, mse_loss, compile_step=True,
-                                  graph_opt="default")
+        step = make_training_step(model, mse_loss,
+                                  compile_config=OPTIMIZED)
         step(rng.standard_normal((4, 2, 16)), rng.standard_normal((4, 1)))
         step(rng.standard_normal((2, 2, 16)), rng.standard_normal((2, 1)))
         assert len(step.opt_stats) == 2

@@ -81,8 +81,8 @@ def _make_leg(mode, seed_model):
     """One (model, optimizer, per-epoch callable) leg; mode: step | loop."""
     model = copy.deepcopy(seed_model)
     optimizer = Adam(model.parameters(), lr=1e-3)
-    cfg = CompileConfig(compile_step=True, graph_exec="source",
-                        graph_opt="default", loop_capture=(mode == "loop"))
+    cfg = CompileConfig(compile_step=True, graph_opt="default",
+                        loop_capture=(mode == "loop"))
     step = make_training_step(model, mse_loss, compile_config=cfg)
     epoch = make_epoch_runner(step, optimizer, None, cfg)
 
