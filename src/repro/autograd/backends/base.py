@@ -201,7 +201,7 @@ def scratch_buffer(scratch: Optional[dict], key: str,
 _EINSUM_PATHS: dict = {}
 
 
-def einsum_cached(subscripts: str, *operands: np.ndarray, out=None):
+def einsum_cached(subscripts: str, *operands: np.ndarray):
     """``np.einsum`` with the contraction path memoized per operand shape.
 
     ``optimize=True`` re-runs the path search on every call — measurable
@@ -218,6 +218,4 @@ def einsum_cached(subscripts: str, *operands: np.ndarray, out=None):
     if path is None:
         path = _EINSUM_PATHS[key] = np.einsum_path(
             subscripts, *operands, optimize=True)[0]
-    if out is None:
-        return np.einsum(subscripts, *operands, optimize=path)
-    return np.einsum(subscripts, *operands, optimize=path, out=out)
+    return np.einsum(subscripts, *operands, optimize=path)

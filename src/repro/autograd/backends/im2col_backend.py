@@ -21,10 +21,9 @@ memory is the ``(N, C_in*K, T_out)`` im2col buffer — the classic
 space-for-speed trade of im2col convolutions.
 
 Under a compiled step the kernels receive a persistent ``scratch`` dict:
-the GEMM outputs, the col2im accumulator and the stacked kernels'
-``einsum`` contraction path are then kept across replays instead of
-being reallocated (or, for the path, re-searched) every batch — same
-operations, same bits, no steady-state allocations.
+the GEMM outputs and the zero-padded adjoint inputs are then kept across
+replays instead of being reallocated every batch — same operations, same
+bits, no steady-state allocations.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .base import ConvBackend, conv_out_length, einsum_cached, scratch_buffer
+from .base import ConvBackend, conv_out_length, scratch_buffer
 
 __all__ = ["Im2colBackend"]
 
@@ -204,10 +203,20 @@ class Im2colBackend(ConvBackend):
                             w_shape: Tuple[int, int, int, int],
                             dilation: int, stride: int, t: int,
                             scratch: Optional[dict] = None) -> np.ndarray:
-        k = w_shape[3]
+        m, c_out, c_in, k = w_shape
+        n = xp.shape[1]
         patches = _patch_view_stacked(xp, k, dilation, stride, t)
+        t_out = patches.shape[-1]
+        # The per-model GEMM lowering of grad_weight, batched over M:
+        # (M, C_in*K, N*T_out) @ (M, N*T_out, C_out).
+        pmat = patches.transpose(0, 2, 3, 1, 4).reshape(m, c_in * k, n * t_out)
+        gmat = grad.transpose(0, 1, 3, 2).reshape(m, n * t_out, c_out)
         if scratch is None:
-            return einsum_cached("mnot,mncit->moci", grad, patches)
+            return np.matmul(pmat, gmat).reshape(m, c_in, k, c_out) \
+                .transpose(0, 3, 1, 2)
         dtype = np.result_type(grad, patches)
+        prod, _ = scratch_buffer(scratch, "gw_cko", (m, c_in * k, c_out), dtype)
         gw, _ = scratch_buffer(scratch, "gw", tuple(w_shape), dtype)
-        return einsum_cached("mnot,mncit->moci", grad, patches, out=gw)
+        np.matmul(pmat, gmat, out=prod)
+        np.copyto(gw, prod.reshape(m, c_in, k, c_out).transpose(0, 3, 1, 2))
+        return gw

@@ -20,7 +20,7 @@ import contextlib
 from typing import Dict, List, Optional, Tuple
 
 from ..tensor import Tensor, pop_tracer, push_tracer
-from .ir import EffectNode, GraphCaptureError, OpNode
+from .ir import GraphCaptureError, OpNode
 
 __all__ = ["GraphCapture", "GraphCaptureError", "capture"]
 
@@ -36,7 +36,7 @@ class GraphCapture:
     def __init__(self):
         self.tensors: List[Tensor] = []      # slot -> tensor (strong refs)
         self.slot_of: Dict[int, int] = {}    # id(tensor) -> slot
-        self.records: List = []              # OpNode | EffectNode, program order
+        self.records: List[OpNode] = []      # program order
         self.input_slots: List[int] = []
         self.failure: Optional[str] = None
 
@@ -59,11 +59,6 @@ class GraphCapture:
             return
         in_slots = tuple(self._slot(t) for t in inputs)
         self.records.append(OpNode(op, in_slots, self._slot(out), attrs))
-
-    def record_effect(self, inputs: Tuple[Tensor, ...], fn) -> None:
-        if self.failure is not None:
-            return
-        self.records.append(EffectNode(fn, tuple(self._slot(t) for t in inputs)))
 
     def poison(self, reason: str) -> None:
         """Mark the capture unusable (first reason wins)."""

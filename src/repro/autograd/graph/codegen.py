@@ -19,8 +19,9 @@ In the generated function
 * the precomputed backward schedule is unrolled in source order, each
   gradient route one call of a routing helper that carries the
   adopt-or-copy discipline (``_ad`` / ``_cp`` / ``_ac``); and
-* side-effect nodes (BatchNorm running-stat updates) are emitted in place,
-  exactly where the schedule recorded them.
+* stateful ops (dropout draws, BatchNorm's running-statistics update) are
+  ordinary kernel calls, so they fire exactly where the schedule recorded
+  them.
 
 **Compact emission.**  ``compile()`` cost grows with the text, so the
 text is kept small: the closure is one tuple unpacked in a single line
@@ -60,7 +61,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .executor import _K_EFFECT, _K_FUSED, _K_INPLACE, _K_OUT, _K_SCRATCH
+from .executor import _K_FUSED, _K_INPLACE, _K_OUT, _K_SCRATCH
 from .ir import GraphProgram
 from .passes import FusedOp
 
@@ -379,7 +380,7 @@ def _emit(runner) -> Tuple[str, Tuple, int]:
         emit(f"if v{slot}.dtype != _dt: v{slot} = v{slot}.astype(_dt)")
         val[slot] = f"v{slot}"
 
-    # -- forward sweep, effects interleaved in recorded order.  Each fused
+    # -- forward sweep, in recorded order.  Each fused
     # chain is unrolled into the body from its FusedOp plans, with
     # interior values shared straight into the unrolled backward — no ctx
     # tuples are ever built for a fused node.
@@ -388,16 +389,13 @@ def _emit(runner) -> Tuple[str, Tuple, int]:
     interior: Dict[Tuple[int, int], str] = {}
     for i, (kind, fn, attrs, in_slots, out_slot, node, extra) \
             in enumerate(runner._fwd_plan):
-        ins = ", ".join(val[s] for s in in_slots)
-        if kind == _K_EFFECT:
-            emit(f"{env.ref('e', fn)}({ins})")
-            continue
         if kind == _K_FUSED:
             _emit_fused_forward(i, node.op, in_slots, out_slot,
                                 program.dtype, env, val, interior, emit)
             fused_chain[id(node)] = i
             continue
         ctx_name[id(node)] = f"c{i}"
+        ins = ", ".join(val[s] for s in in_slots)
         call = f"{env.ref('k', fn)}([{ins}], {env.ref('a', attrs)}"
         if kind == _K_OUT:
             buf = env.ref("b", extra)

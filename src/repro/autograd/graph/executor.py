@@ -50,7 +50,7 @@ import numpy as np
 
 from ..tensor import Tensor, get_default_dtype, no_grad
 from .capture import capture
-from .ir import GraphCaptureError, GraphProgram, OpNode, build_program
+from .ir import GraphCaptureError, GraphProgram, build_program
 from .passes import FusedOp, OptStats, optimize_program, resolve_graph_opt
 
 __all__ = [
@@ -102,7 +102,7 @@ class EagerStep:
 
 # Forward-plan entry kinds (first tuple element): the call shape the
 # lowering emits for each node.
-_K_FWD, _K_OUT, _K_SCRATCH, _K_EFFECT, _K_INPLACE, _K_FUSED = range(6)
+_K_FWD, _K_OUT, _K_SCRATCH, _K_INPLACE, _K_FUSED = range(5)
 
 
 class _ProgramRunner:
@@ -133,10 +133,6 @@ class _ProgramRunner:
 
         fwd_plan = []
         for idx, node in enumerate(program.schedule):
-            if type(node) is not OpNode:
-                fwd_plan.append((_K_EFFECT, node.fn, None,
-                                 node.in_slots, -1, None, None))
-                continue
             op = node.op
             if type(op) is FusedOp:
                 fwd_plan.append((_K_FUSED, None, None, node.in_slots,

@@ -18,7 +18,7 @@ Slots fall into three classes:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,19 +43,6 @@ class OpNode:
 
     def __repr__(self) -> str:
         return f"OpNode({self.op.name}, in={self.in_slots}, out={self.out_slot})"
-
-
-class EffectNode:
-    """A recorded side effect (e.g. BatchNorm running-stat update)."""
-
-    __slots__ = ("fn", "in_slots")
-
-    def __init__(self, fn: Callable, in_slots: Tuple[int, ...]):
-        self.fn = fn
-        self.in_slots = in_slots
-
-    def __repr__(self) -> str:
-        return f"EffectNode({getattr(self.fn, '__qualname__', self.fn)!r})"
 
 
 class BackwardStep:
@@ -154,7 +141,7 @@ class GraphProgram:
                  slot_meta: Dict[int, Tuple[Tuple[int, ...], np.dtype]],
                  grad_slots, dtype):
         self.n_slots = n_slots
-        self.schedule = schedule              # OpNode | EffectNode, program order
+        self.schedule = schedule              # OpNode (epoch: LoopNode), in order
         self.backward_steps = backward_steps  # reverse-topo order
         self.leaves = leaves                  # (slot, Tensor) — re-read each replay
         self.input_slots = input_slots
@@ -168,7 +155,7 @@ class GraphProgram:
 
     def __repr__(self) -> str:
         ops = sum(1 for n in self.schedule if isinstance(n, OpNode))
-        return (f"GraphProgram(ops={ops}, effects={len(self.schedule) - ops}, "
+        return (f"GraphProgram(ops={ops}, "
                 f"backward_steps={len(self.backward_steps)}, "
                 f"leaves={len(self.leaves)})")
 
@@ -186,10 +173,7 @@ def build_program(tracer, loss, outputs) -> GraphProgram:
     slot_of = tracer.slot_of
     tensors = tracer.tensors
 
-    node_by_slot: Dict[int, OpNode] = {}
-    for node in tracer.records:
-        if isinstance(node, OpNode):
-            node_by_slot[node.out_slot] = node
+    node_by_slot = {node.out_slot: node for node in tracer.records}
 
     leaves: List[Tuple[int, object]] = []
     for slot, t in enumerate(tensors):

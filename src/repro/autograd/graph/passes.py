@@ -13,19 +13,20 @@ The pipeline (level ``"default"``) runs four passes, in order:
    matrices, scalar literals) are evaluated once at optimization time and
    their outputs bound as constant leaves.  Matters most in PIT phase 3,
    where freezing turns whole mask-product subgraphs constant.  Stateful
-   ops (``dropout`` carries an ``rng`` attribute, live buffer reads a
-   ``state`` attribute) are never folded.
+   ops (``dropout`` carries an ``rng`` attribute; live buffer reads and
+   training-mode ``batch_norm``, which updates its running statistics,
+   carry a ``state`` attribute) are never folded.
 2. **Dead-node elimination** (:func:`eliminate_dead_nodes`) — ops whose
-   outputs feed neither a step output, the backward pass, nor a recorded
-   side effect are dropped.  Side-effect nodes (BatchNorm running-stat
-   updates) and everything they read always stay.
+   outputs feed neither a step output nor the backward pass are dropped.
+   Stateful ops and everything they read always stay.
 3. **Op fusion** (:func:`fuse_chains`) — maximal *contiguous linear chains*
    (each node's output consumed solely by the next schedule entry) collapse
    into one :class:`FusedOp` that runs the same kernels in the same order
-   as one node: conv+activation, bias+activation, BatchNorm affine
-   tails, loss reductions (``sub→abs→mean``), softmax/log-softmax tails,
-   mask cumulative products.  The fused backward replays the original
-   backward sub-steps in their original order and routes interior
+   as one node: conv+batch-norm+activation, bias+activation, eval-mode
+   BatchNorm affine tails, loss reductions (``sub→abs→mean``),
+   softmax/log-softmax tails, mask cumulative products.  The fused
+   backward replays the original backward sub-steps in their original
+   order and routes interior
    gradients internally, so the global accumulation order — and therefore
    every bit of every gradient — is unchanged.
 4. **Memory planning** (:func:`plan_memory`) — a liveness analysis over the
@@ -39,8 +40,8 @@ The pipeline (level ``"default"``) runs four passes, in order:
    performs no arena allocations (``CompiledStep.alloc_stats`` proves it).
 
 Contiguity is what makes fusion trivially safe: nothing is reordered, so
-recorded side effects and the dropout RNG stream fire in exactly the eager
-order.  Chains whose backward steps are not a contiguous block of the
+running-statistics updates and the dropout RNG stream fire in exactly the
+eager order.  Chains whose backward steps are not a contiguous block of the
 backward schedule are left unfused (gradient accumulation order into shared
 slots could otherwise change, which is observable in floating point).
 """
@@ -54,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..tensor import Tensor
-from .ir import BackwardStep, EffectNode, GraphProgram, OpNode
+from .ir import BackwardStep, GraphProgram, OpNode
 
 __all__ = [
     "ENV_GRAPH_OPT",
@@ -122,6 +123,12 @@ def _constant_leaf(value: np.ndarray) -> Tensor:
     return t
 
 
+def _stateful(node: OpNode) -> bool:
+    """Whether replaying ``node`` reads or advances state outside its
+    inputs (an RNG stream, a module buffer): such ops run on every replay."""
+    return "rng" in node.attrs or "state" in node.attrs
+
+
 # ----------------------------------------------------------------------
 # Pass 1: constant folding
 # ----------------------------------------------------------------------
@@ -134,8 +141,8 @@ def fold_constants(program: GraphProgram) -> int:
     already-folded op.  Folded outputs are bound as new constant leaves —
     re-running the same pure kernels on the same constant inputs at replay
     time would reproduce the same bits, so pre-evaluating them once cannot
-    change results.  Ops carrying an ``rng`` attribute (dropout) or a
-    ``state`` attribute (live module-buffer reads) are stateful and never
+    change results.  Stateful ops (an ``rng`` or ``state`` attribute:
+    dropout, live module-buffer reads, training-mode batch norm) are never
     folded; ops with a backward step never qualify (their output requires
     grad, so some input was not constant).
     """
@@ -148,8 +155,7 @@ def fold_constants(program: GraphProgram) -> int:
     folded: List[Tuple[int, np.ndarray]] = []
     schedule = []
     for node in program.schedule:
-        if (type(node) is OpNode and id(node) not in has_step
-                and "rng" not in node.attrs and "state" not in node.attrs
+        if (id(node) not in has_step and not _stateful(node)
                 and all(s in const for s in node.in_slots)):
             out, _ = node.op.fwd([const[s] for s in node.in_slots], node.attrs)
             # Mirror the Tensor() dtype coercion of eager dispatch.
@@ -173,18 +179,15 @@ def fold_constants(program: GraphProgram) -> int:
 def eliminate_dead_nodes(program: GraphProgram) -> int:
     """Drop ops feeding nothing live.
 
-    Live roots: the step outputs, the backward root, every slot a recorded
-    side effect reads (BatchNorm running-stat updates must keep firing with
-    the right values), and every slot the backward schedule touches.
-    Side-effect nodes themselves are never dropped.
+    Live roots: the step outputs, the backward root, the output of every
+    stateful op (a BatchNorm running-statistics update or a dropout draw
+    must keep firing with the right values, used or not), and every slot
+    the backward schedule touches.
     """
-    producer: Dict[int, OpNode] = {
-        n.out_slot: n for n in program.schedule if type(n) is OpNode}
+    producer: Dict[int, OpNode] = {n.out_slot: n for n in program.schedule}
     stack: List[int] = list(program.output_slots)
     stack.append(program.root_slot)
-    for node in program.schedule:
-        if type(node) is EffectNode:
-            stack.extend(node.in_slots)
+    stack.extend(n.out_slot for n in program.schedule if _stateful(n))
     for step in program.backward_steps:
         stack.extend(step.node.in_slots)
         stack.append(step.node.out_slot)
@@ -198,8 +201,7 @@ def eliminate_dead_nodes(program: GraphProgram) -> int:
         if node is not None:
             stack.extend(node.in_slots)
     before = len(program.schedule)
-    program.schedule = [n for n in program.schedule
-                        if type(n) is EffectNode or n.out_slot in live]
+    program.schedule = [n for n in program.schedule if n.out_slot in live]
     return before - len(program.schedule)
 
 
@@ -275,26 +277,18 @@ def _chain_runs(program: GraphProgram) -> List[List[int]]:
     schedule = program.schedule
     n = len(schedule)
     outputs = set(program.output_slots)
-    effect_reads: Set[int] = set()
     consumers: Dict[int, List[int]] = {}
     for idx, node in enumerate(schedule):
-        if type(node) is EffectNode:
-            effect_reads.update(node.in_slots)
-            continue
         for s in set(node.in_slots):
             consumers.setdefault(s, []).append(idx)
     runs: List[List[int]] = []
     i = 0
     while i < n:
-        if type(schedule[i]) is EffectNode:
-            i += 1
-            continue
         run = [i]
         j = i
-        while j + 1 < n and type(schedule[j + 1]) is not EffectNode:
+        while j + 1 < n:
             s = schedule[j].out_slot
-            if (s in outputs or s in effect_reads
-                    or consumers.get(s) != [j + 1]):
+            if s in outputs or consumers.get(s) != [j + 1]:
                 break
             run.append(j + 1)
             j += 1
@@ -523,7 +517,7 @@ def plan_memory(program: GraphProgram) -> MemoryPlan:
     """Liveness analysis + arena assignment + in-place marking.
 
     Works on the post-fusion schedule.  A slot's value is *live* until its
-    last forward read (including side-effect reads and step outputs) unless
+    last forward read (or the end, for step outputs) unless
     some backward kernel will read it, in which case it survives the whole
     replay.  View ops union their output with the aliased input so shared
     storage is never recycled while any alias is live.
@@ -533,8 +527,7 @@ def plan_memory(program: GraphProgram) -> MemoryPlan:
     end = len(schedule)
     leafish = {s for s, _ in program.leaves} | set(program.input_slots)
     outputs = set(program.output_slots)
-    producer_idx = {node.out_slot: idx for idx, node in enumerate(schedule)
-                    if type(node) is OpNode}
+    producer_idx = {node.out_slot: idx for idx, node in enumerate(schedule)}
 
     last_fwd: Dict[int, int] = {}
     for idx, node in enumerate(schedule):
@@ -548,7 +541,7 @@ def plan_memory(program: GraphProgram) -> MemoryPlan:
     bwd_readers: Dict[int, Set[int]] = {}
     out_read: Set[int] = set()
     for idx, node in enumerate(schedule):
-        if type(node) is not OpNode or id(node) not in has_step:
+        if id(node) not in has_step:
             continue
         op = node.op
         if isinstance(op, FusedOp):
@@ -565,7 +558,7 @@ def plan_memory(program: GraphProgram) -> MemoryPlan:
 
     groups = _AliasGroups()
     for node in schedule:
-        if type(node) is OpNode and node.op.view_of is not None:
+        if node.op.view_of is not None:
             groups.union(node.out_slot, node.in_slots[node.op.view_of])
 
     def group_stats(s: int):
@@ -582,8 +575,6 @@ def plan_memory(program: GraphProgram) -> MemoryPlan:
 
     # -- in-place marking ----------------------------------------------
     for idx, node in enumerate(schedule):
-        if type(node) is not OpNode:
-            continue
         op = node.op
         if op.fwd_out is None or not op.inplace:
             continue
@@ -619,7 +610,7 @@ def plan_memory(program: GraphProgram) -> MemoryPlan:
     for idx, node in enumerate(schedule):
         for b in release_at.pop(idx, ()):
             free.setdefault(plan.buffers[b], []).append(b)
-        if type(node) is not OpNode or idx in plan.inplace:
+        if idx in plan.inplace:
             continue
         op = node.op
         if op.fwd_out is None or isinstance(op, FusedOp):
@@ -672,7 +663,7 @@ def loop_carried_safety(program: GraphProgram) -> Optional[str]:
     leafish = {s for s, _ in program.leaves} | set(program.input_slots)
     groups = _AliasGroups()
     for node in program.schedule:
-        if type(node) is OpNode and node.op.view_of is not None:
+        if node.op.view_of is not None:
             groups.union(node.out_slot, node.in_slots[node.op.view_of])
     def touches_leaf(slot: int) -> bool:
         return any(m in leafish for m in groups.members(slot))

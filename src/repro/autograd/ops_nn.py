@@ -1,15 +1,16 @@
 """Neural-network specific differentiable operations.
 
 Contains the numerically-stable softmax family, the straight-through
-Heaviside binarization used by PIT's γ parameters (paper Eq. 2), and a
-dropout primitive.
+Heaviside binarization used by PIT's γ parameters (paper Eq. 2), a dropout
+primitive and training-mode batch normalization.
 
 All ops are expressed as :class:`repro.autograd.tensor.OpDef` kernel pairs
 dispatched through :func:`repro.autograd.tensor.apply_op`, so they are
-captured by the graph executor like every other primitive.  Dropout is the
-one stateful op: its generator is a static attribute, and every replay of a
-captured step draws fresh masks from it in recorded program order — exactly
-the stream an eager run would consume.
+captured by the graph executor like every other primitive.  Dropout and
+batch normalization are the stateful ops: dropout's generator and the
+normalization's statistics owner are static attributes, and every replay
+of a captured step draws fresh masks / updates the running statistics in
+recorded program order — exactly as an eager run would.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import OpDef, Tensor, apply_op
+from .backends.base import scratch_buffer
+from .tensor import OpDef, Tensor, apply_op, get_default_dtype
 
 __all__ = [
     "softmax",
@@ -26,6 +28,7 @@ __all__ = [
     "binarize_ste",
     "dropout",
     "dropout_stacked",
+    "batch_norm",
     "logsumexp",
 ]
 
@@ -228,3 +231,92 @@ def dropout_stacked(x: Tensor, p: float, training: bool,
                          f"{x.shape[0]} models")
     return apply_op(_DROPOUT_STACKED, (x,),
                     {"p": p, "rng": rngs, "active": active})
+
+
+def _empty(scratch, key, shape, dtype):
+    """A replay-persistent work buffer, or a fresh one when eager."""
+    buf, _ = scratch_buffer(scratch, key, shape, dtype)
+    return np.empty(shape, dtype) if buf is None else buf
+
+
+def _batch_norm_fwd_scratch(ins, attrs, scratch):
+    x, w, b = ins
+    axes = attrs["axes"]
+    # The arithmetic of the primitive composition it replaces, in the same
+    # order — mean; x - mean; square; mean; + eps; sqrt; divide; × w; + b —
+    # so activations and running statistics keep their bits.
+    mean = x.mean(axis=axes, keepdims=True)
+    centered = np.subtract(x, mean, out=_empty(scratch, "c", x.shape, x.dtype))
+    sq = np.multiply(centered, centered,
+                     out=_empty(scratch, "sq", x.shape, x.dtype))
+    var = sq.mean(axis=axes, keepdims=True)
+    attrs["state"]._update_running_stats(mean.reshape(w.shape),
+                                         var.reshape(w.shape))
+    std = np.sqrt(var + attrs["eps"])
+    x_hat = np.divide(centered, std,
+                      out=_empty(scratch, "x_hat", x.shape, x.dtype))
+    w_col = w.reshape(mean.shape)
+    dtype = np.result_type(x_hat, w, b)
+    out = sq if dtype == sq.dtype else _empty(scratch, "out", x.shape, dtype)
+    np.multiply(x_hat, w_col, out=out)
+    np.add(out, b.reshape(mean.shape), out=out)
+    return out, (centered, x_hat, std, w_col)
+
+
+def _batch_norm_bwd_scratch(g, ins, out, ctx, attrs, needs, scratch):
+    # The adjoint of the forward's chain in closed form, computed with the
+    # roundings of the primitives' own backward kernels and the eager
+    # accumulation order, so gradients — and whole training runs — keep
+    # the bits of the composition (c = x - mean, n = reduced size):
+    #   gb = Σg,  gw = Σ g·x̂,  gd = g·w/σ,  gσ = -Σ g·w·c/σ²,
+    #   gc = 2·(gσ·0.5/σ/n)·c,  gx = gd + (-Σgd)/n + gc + (-Σgc)/n.
+    # (Negating before or after a product, quotient or sum gives the same
+    # bits.)  The factored (w/σ)·(g - mean(g) - x̂·mean(g·x̂)) rounds
+    # differently, enough to change float32 stacked-vs-sequential drift.
+    centered, x_hat, std, w = ctx
+    axes = attrs["axes"]
+    n = x_hat.size // std.size
+    buf = _empty(scratch, "t", g.shape, np.result_type(g, x_hat, w))
+    gw = np.multiply(g, x_hat, out=buf).sum(axis=axes, keepdims=True)
+    gxh = np.multiply(g, w, out=buf)
+    gx = np.divide(gxh, std, out=_empty(scratch, "gx", g.shape, buf.dtype))
+    np.multiply(gxh, centered, out=buf)
+    g_std = -np.divide(buf, std ** 2, out=buf).sum(axis=axes, keepdims=True)
+    g_mean = -gx.sum(axis=axes, keepdims=True)
+    gc = np.multiply(g_std * 0.5 / std / n, centered, out=buf)
+    np.add(gc, gc, out=gc)
+    g_mu = -gc.sum(axis=axes, keepdims=True)
+    np.add(gx, g_mean / n, out=gx)
+    np.add(gx, gc, out=gx)
+    np.add(gx, g_mu / n, out=gx)
+    return (gx,
+            gw.reshape(ins[1].shape) if needs[1] else None,
+            g.sum(axis=axes, keepdims=True).reshape(ins[2].shape)
+            if needs[2] else None)
+
+
+# The backward reads only its ctx (c, x̂, σ and w), never the forward
+# values.  The "state" attribute marks the op stateful, like buffer
+# reads: the graph optimizer neither folds nor drops it, so every replay
+# updates the running statistics.
+_BATCH_NORM = OpDef(
+    "batch_norm",
+    lambda ins, attrs: _batch_norm_fwd_scratch(ins, attrs, None),
+    lambda *args: _batch_norm_bwd_scratch(*args, None),
+    fwd_scratch=_batch_norm_fwd_scratch,
+    bwd_scratch=_batch_norm_bwd_scratch, bwd_uses=())
+
+
+def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, axes, eps: float,
+               stats_owner) -> Tensor:
+    """Training-mode batch normalization of ``x`` over ``axes``.
+
+    ``weight`` and ``bias`` have the shape of the axes that remain (e.g.
+    ``(C,)`` for ``(N, C, T)`` over ``(0, 2)``; ``(M, C)`` for a stacked
+    ``(M, N, C, T)`` over ``(1, 3)``).  Each call — eager or replayed by a
+    compiled step — hands the batch mean and biased variance, shaped like
+    ``weight``, to ``stats_owner._update_running_stats``.
+    """
+    eps = np.asarray(eps, dtype=get_default_dtype())
+    return apply_op(_BATCH_NORM, (x, weight, bias),
+                    {"axes": tuple(axes), "eps": eps, "state": stats_owner})

@@ -47,7 +47,6 @@ __all__ = [
     "OpDef",
     "Tensor",
     "apply_op",
-    "record_side_effect",
     "buffer_value",
     "mark_capture_unsafe",
     "no_grad",
@@ -309,23 +308,6 @@ def apply_op(op: OpDef, inputs: Sequence["Tensor"],
     if tracer is not None:
         tracer.record(op, inputs, out, attrs)
     return out
-
-
-def record_side_effect(inputs: Sequence["Tensor"], fn: Callable) -> None:
-    """Run ``fn(*input_arrays)`` now and replay it with the captured graph.
-
-    For stateful updates that live *next to* the differentiable graph but
-    outside it — e.g. BatchNorm's running statistics, which are computed
-    from the batch-mean/variance nodes with plain numpy.  Eagerly this is
-    just a call; under capture the effect is recorded at its program
-    position so the compiled step reproduces it on every replay.  ``fn``
-    must only close over static state (the module), never over arrays of a
-    particular batch.
-    """
-    fn(*(t.data for t in inputs))
-    tracer = getattr(_TRACE_STATE, "tracer", None)
-    if tracer is not None:
-        tracer.record_effect(tuple(inputs), fn)
 
 
 def _buffer_fwd(ins, attrs):

@@ -16,12 +16,12 @@ import numpy as np
 from ..autograd import (
     Tensor,
     avg_pool1d,
+    batch_norm,
     buffer_value,
     conv1d_causal,
     dropout as dropout_op,
     global_avg_pool1d,
     max_pool1d,
-    record_side_effect,
 )
 from . import init
 from .module import Module, Parameter
@@ -163,30 +163,30 @@ class BatchNorm1d(Module):
             axes, shape = (0,), (1, self.num_features)
         else:
             raise ValueError(f"BatchNorm1d expects 2-D or 3-D input, got {x.shape}")
+        return self._normalize(x, axes, shape)
 
+    def _normalize(self, x: Tensor, axes, shape) -> Tensor:
+        """Normalize over ``axes``; ``shape`` broadcasts one statistic."""
         if self.training:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
-            # Routed through the side-effect hook so a graph-captured step
-            # replays the running-statistics update on every batch.
-            record_side_effect((mean, var), self._update_running_stats)
-            x_hat = (x - mean) / (var + self.eps).sqrt()
-        else:
-            mean = buffer_value(self, "running_mean", shape)
-            var = buffer_value(self, "running_var", shape)
-            x_hat = (x - mean) / (var + self.eps).sqrt()
-
+            # One stateful op: a graph-captured step replays the
+            # running-statistics update on every batch.
+            return batch_norm(x, self.weight, self.bias, axes, self.eps, self)
+        mean = buffer_value(self, "running_mean", shape)
+        var = buffer_value(self, "running_var", shape)
+        x_hat = (x - mean) / (var + self.eps).sqrt()
         w = self.weight.reshape(shape)
         b = self.bias.reshape(shape)
         return x_hat * w + b
 
     def _update_running_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Fold one batch's statistics (shaped like the weight) into the
+        running ones; :func:`repro.autograd.batch_norm` calls this."""
         self.update_buffer(
             "running_mean",
-            (1 - self.momentum) * self.running_mean + self.momentum * mean.reshape(-1))
+            (1 - self.momentum) * self.running_mean + self.momentum * mean)
         self.update_buffer(
             "running_var",
-            (1 - self.momentum) * self.running_var + self.momentum * var.reshape(-1))
+            (1 - self.momentum) * self.running_var + self.momentum * var)
 
     def __repr__(self) -> str:
         return f"BatchNorm1d({self.num_features})"

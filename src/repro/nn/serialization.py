@@ -1,7 +1,10 @@
 """Model checkpointing: save/load state dicts to ``.npz`` archives.
 
-The library's models are plain numpy underneath, so a compressed npz of
-the ``state_dict`` is a complete, dependency-free checkpoint.  Metadata
+The library's models are plain numpy underneath, so an npz of the
+``state_dict`` is a complete, dependency-free checkpoint.  Archives are
+stored uncompressed: training checkpoints are rewritten every epoch, and
+deflating them cost more time than the bytes it saved.  Compressed
+archives written by earlier versions still load.  Metadata
 (arbitrary JSON-serializable dict) travels alongside, which the DSE driver
 uses to record the λ / warmup / dilations that produced a model.
 
@@ -47,7 +50,7 @@ class CheckpointError(RuntimeError):
 
 def save_state(state: Dict[str, np.ndarray], path: Union[str, Path],
                metadata: Optional[dict] = None) -> None:
-    """Atomically write a state dict (+ optional metadata) to a compressed npz.
+    """Atomically write a state dict (+ optional metadata) to an npz.
 
     The payload is staged in a tempfile in the target directory and
     renamed over ``path``, so readers only ever see a complete archive.
@@ -63,7 +66,7 @@ def save_state(state: Dict[str, np.ndarray], path: Union[str, Path],
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".npz.tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **payload)
+            np.savez(handle, **payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

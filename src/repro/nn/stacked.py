@@ -41,7 +41,6 @@ import numpy as np
 from ..autograd import (
     Tensor,
     avg_pool1d,
-    buffer_value,
     conv1d_causal_stacked,
     dropout_stacked,
     get_default_dtype,
@@ -261,7 +260,6 @@ class StackedBatchNorm1d(Module):
                              stack_parameter(template.running_var, ctx.m))
 
     def forward(self, x: Tensor) -> Tensor:
-        from ..autograd import record_side_effect
         m = self.weight.shape[0]
         if x.ndim == 4:            # stacked (M, N, C, T)
             axes, shape = (1, 3), (m, 1, self.num_features, 1)
@@ -270,31 +268,12 @@ class StackedBatchNorm1d(Module):
         else:
             raise ValueError(
                 f"StackedBatchNorm1d expects (M, N, C[, T]) input, got {x.shape}")
+        return self._normalize(x, axes, shape)
 
-        if self.training:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
-            record_side_effect((mean, var), self._update_running_stats)
-            x_hat = (x - mean) / (var + self.eps).sqrt()
-        else:
-            mean = buffer_value(self, "running_mean", shape)
-            var = buffer_value(self, "running_var", shape)
-            x_hat = (x - mean) / (var + self.eps).sqrt()
-
-        w = self.weight.reshape(shape)
-        b = self.bias.reshape(shape)
-        return x_hat * w + b
-
-    def _update_running_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
-        m = self.weight.shape[0]
-        self.update_buffer(
-            "running_mean",
-            (1 - self.momentum) * self.running_mean
-            + self.momentum * mean.reshape(m, self.num_features))
-        self.update_buffer(
-            "running_var",
-            (1 - self.momentum) * self.running_var
-            + self.momentum * var.reshape(m, self.num_features))
+    # Per-model statistics and affine parameters carry the model axis; the
+    # arithmetic is the per-model layer's.
+    _normalize = BatchNorm1d._normalize
+    _update_running_stats = BatchNorm1d._update_running_stats
 
     def __repr__(self) -> str:
         return (f"StackedBatchNorm1d(M={self.weight.shape[0]}, "

@@ -10,6 +10,7 @@ silently-wrong resume.
 """
 
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -128,6 +129,26 @@ class TestKillResumeParity:
         result, model = out
         assert result.resumed_epochs == 2
         _assert_same(_fingerprint(result, model), ref)
+
+    def test_compressed_archive_still_resumes(self, tmp_path, monkeypatch):
+        """Archives are stored uncompressed; one deflated the way earlier
+        versions wrote it still loads, passes its CRC32 checksum and
+        resumes bit-identically."""
+        ref = _fingerprint(*_fit())
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "savez", np.savez_compressed)
+            assert _fit(str(tmp_path), crash_at=2) is None
+        path = checkpoint_file(tmp_path, "pit")
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == \
+                {zipfile.ZIP_DEFLATED}
+        assert TrainerCheckpoint(path).load() is not None
+        result, model = _fit(str(tmp_path))
+        assert result.resumed_epochs == 2
+        _assert_same(_fingerprint(result, model), ref)
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == \
+                {zipfile.ZIP_STORED}
 
     def test_resume_at_every_epoch_boundary(self, tmp_path):
         ref_result, ref_model = _fit()

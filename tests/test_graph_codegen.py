@@ -84,7 +84,7 @@ def train_steps(make_model, batches, compiled, loss_fn=mse_loss):
 class TestGeneratedSource:
     def _source(self):
         model = small_model()
-        model.train()  # BatchNorm must record its running-stats effect
+        model.train()  # BatchNorm runs its stateful training-mode op
         step = make_training_step(model, mse_loss, compile_config=COMPILED)
         x, y = batches_of((4, 3, 32), (4, 2), count=1)[0]
         step(x, y)
@@ -115,13 +115,27 @@ class TestGeneratedSource:
         source = self._source()
         compile(source, "<dump>", "exec")
 
-    def test_effects_emitted_in_place(self):
-        """BatchNorm's running-stats update appears in the forward sweep."""
-        import re
-        source = self._source()
-        body = source[source.index("def run(inputs):"):]
-        # Effect callbacks are closure-bound e<i> calls in schedule order.
-        assert re.search(r"\be\d+\(v\d+", body), body
+    def test_batch_norm_kernel_called_once_per_layer(self):
+        """Each BatchNorm layer is one fused batch-norm kernel call in the
+        forward sweep (its running-statistics update included), not a
+        chain of primitives plus a separate update."""
+        from repro.autograd.ops_nn import _BATCH_NORM
+        rng = np.random.default_rng(3)
+        model = Sequential(
+            CausalConv1d(3, 6, kernel_size=3, rng=rng), BatchNorm1d(6),
+            ReLU(), GlobalAvgPool1d(), Linear(6, 4, rng=rng),
+            BatchNorm1d(4), Linear(4, 2, rng=rng))
+        model.train()
+        step = make_training_step(model, mse_loss, compile_config=COMPILED)
+        x, y = batches_of((4, 3, 32), (4, 2), count=1)[0]
+        step(x, y)
+        (runner,) = step._runners.values()
+        names = [name for name, cell in zip(runner.run.__code__.co_freevars,
+                                             runner.run.__closure__)
+                 if cell.cell_contents is _BATCH_NORM.fwd_scratch]
+        assert len(names) == 1
+        body = runner.source[runner.source.index("def run(inputs):"):]
+        assert body.count(f"{names[0]}(") == 2
 
     def test_dump_source_and_cli_registry_agree(self):
         codegen.clear_code_cache()

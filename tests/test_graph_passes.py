@@ -15,11 +15,10 @@ import pytest
 from repro.autograd import (
     CompiledStep,
     Tensor,
-    record_side_effect,
     set_default_dtype,
 )
 from repro.autograd.graph import CompileConfig, build_program, capture
-from repro.autograd.graph.ir import EffectNode, OpNode
+from repro.autograd.graph.ir import OpNode
 from repro.autograd.graph.passes import (
     ENV_GRAPH_OPT,
     FusedOp,
@@ -35,6 +34,7 @@ from repro.core.trainer import make_training_step
 from repro.data import ArrayDataset, DataLoader
 from repro.models import restcn_seed, temponet_seed
 from repro.nn import (
+    BatchNorm1d,
     CausalConv1d,
     GlobalAvgPool1d,
     Linear,
@@ -172,6 +172,47 @@ class TestFoldConstants:
         # The frozen mask's kernel-order getitem pre-evaluates at least.
         assert stats["folded"] >= 1
 
+    def test_stateful_batch_norm_never_folds(self):
+        bn = BatchNorm1d(4)
+        for p in bn.parameters():
+            p.requires_grad = False
+        c = Tensor(np.arange(8.0).reshape(2, 4))
+        w = Tensor(np.ones(4), requires_grad=True)
+
+        def step_fn(x, y):
+            return (bn(c) * w * x).sum()      # every bn input is constant
+
+        program, _ = trace_program(step_fn, np.ones(4), np.zeros(1))
+        fold_constants(program)
+        assert "batch_norm" in op_names(program)
+
+    def test_batch_norm_survives_frozen_mask_folding(self):
+        """Finetune: the frozen mask product folds, while the batch norm
+        behind the masked conv stays and keeps updating its running
+        statistics on every replay, exactly as eager does."""
+        def make():
+            rng = np.random.default_rng(0)
+            model = Sequential(PITConv1d(2, 3, rf_max=9, rng=rng),
+                               BatchNorm1d(3), ReLU(), GlobalAvgPool1d(),
+                               Linear(3, 1, rng=rng))
+            model[0].freeze()
+            return model
+
+        model, twin = make(), make()
+        step = make_training_step(model, mse_loss, compile_config=OPTIMIZED)
+        eager = make_training_step(
+            twin, mse_loss, compile_config=CompileConfig(compile_step=False))
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            x, y = rng.standard_normal((2, 2, 16)), rng.standard_normal((2, 1))
+            assert step(x, y) == eager(x, y)
+            assert np.array_equal(model[1].running_mean, twin[1].running_mean)
+            assert np.array_equal(model[1].running_var, twin[1].running_var)
+        assert next(iter(step.opt_stats.values()))["folded"] >= 1
+        (runner,) = step._runners.values()
+        assert any("batch_norm" in node.op.name
+                   for node in runner.program.schedule)
+
 
 # ----------------------------------------------------------------------
 # Pass 2: dead-node elimination
@@ -192,37 +233,37 @@ class TestDeadNodeElimination:
         assert "abs" not in op_names(program)
 
     def test_effect_nodes_and_their_inputs_survive(self):
-        """Side effects (BatchNorm running stats) are roots of liveness."""
+        """Stateful ops (BatchNorm's running-statistics update) are roots
+        of liveness, and so is everything they read."""
+        bn = BatchNorm1d(3)
         w = Tensor(np.ones(3), requires_grad=True)
-        seen = []
-
-        def update(mean_value):
-            seen.append(float(mean_value))
 
         def step_fn(x, y):
-            mean = x.mean()                    # feeds only the effect
-            record_side_effect((mean,), update)
+            bn(x.abs())                        # output feeds nothing
             return (x * w).sum()
 
-        program, _ = trace_program(step_fn, np.ones(3), np.zeros(3))
+        program, _ = trace_program(step_fn, np.ones((4, 3)), np.zeros(3))
         removed = eliminate_dead_nodes(program)
         assert removed == 0
-        assert "mean" in op_names(program)
-        assert any(type(node) is EffectNode for node in program.schedule)
+        assert "abs" in op_names(program)
+        assert "batch_norm" in op_names(program)
 
     def test_compiled_replay_still_fires_effects(self):
+        bn, twin = BatchNorm1d(3), BatchNorm1d(3)
         w = Tensor(np.ones(3), requires_grad=True)
-        seen = []
 
         def step_fn(x, y):
-            mean = x.mean()
-            record_side_effect((mean,), lambda m: seen.append(float(m)))
+            bn(x)                              # output feeds nothing
             return (x * w).sum()
 
         step = CompiledStep(step_fn, optimize="default")
         for value in (1.0, 2.0, 3.0):
-            step(np.full(3, value), np.zeros(3))
-        assert seen == [1.0, 2.0, 3.0]
+            x = np.full((4, 3), value) + np.arange(3.0)
+            step(x, np.zeros(3))
+            twin(Tensor(x))
+            assert np.array_equal(bn.running_mean, twin.running_mean)
+            assert np.array_equal(bn.running_var, twin.running_var)
+        assert bn.running_mean[0] != 0.0
 
 
 # ----------------------------------------------------------------------
@@ -293,20 +334,21 @@ class TestMemoryPlan:
             GlobalAvgPool1d(), Linear(8, 2, rng=rng))
 
     def test_inplace_when_fusion_blocked_by_effect(self):
-        w = Tensor(np.ones((16,)), requires_grad=True)
-        seen = []
+        w = Tensor(np.ones((4,)), requires_grad=True)
+        bn = BatchNorm1d(4)
 
         def step_fn(x, y):
             a = x * w
-            # The effect read blocks fusing [mul, relu], and the two
-            # consumers of b keep relu out of any chain — a standalone
-            # relu whose input dies right there, so it runs in place.
-            record_side_effect((a,), lambda v: seen.append(v.shape))
+            # The stateful batch-norm read blocks fusing [mul, relu], and
+            # the two consumers of b keep relu out of any chain — a
+            # standalone relu whose input dies right there, so it runs in
+            # place.
+            bn(a)
             b = a.relu()
             return b.sum() + b.mean()
 
         step = CompiledStep(step_fn, optimize="default")
-        x = np.linspace(-1, 1, 16)
+        x = np.linspace(-1, 1, 16).reshape(4, 4)
         first = step(x, np.zeros(1))
         stats = next(iter(step.opt_stats.values()))
         assert stats["inplace_ops"] >= 1
