@@ -4,8 +4,8 @@ Every table and figure of the paper is regenerated at *laptop scale*: the
 same seed architectures with reduced width (``width_mult``), the synthetic
 datasets at reduced size, and shortened training schedules.  Absolute
 numbers therefore differ from the paper; the benches assert and print the
-*shape* of each result (who wins, by roughly what factor) — see
-EXPERIMENTS.md for the side-by-side record.
+*shape* of each result (who wins, by roughly what factor) next to the
+paper's numbers quoted in each bench's docstring.
 
 Expensive artifacts (the λ sweeps) are computed once per session and shared
 across bench files through session-scoped fixtures.  Each grid point of a
@@ -22,7 +22,8 @@ numbers further:
   (λ, warmup) points are skipped when a bench session is re-run.
 
 The conv kernels honour ``REPRO_CONV_BACKEND`` (``einsum`` / ``im2col``)
-process-wide — see ``repro.autograd.backends``.
+process-wide — see ``repro.autograd.backends`` — and training runs at the
+compiled default tier unless ``REPRO_COMPILE_STEP=0``.
 """
 
 from __future__ import annotations

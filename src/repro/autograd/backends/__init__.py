@@ -5,9 +5,7 @@ The hot path of every network in this reproduction is
 kernels be swapped without touching the autograd tape:
 
 * ``"einsum"`` — the per-tap einsum reference implementation (default);
-* ``"im2col"`` — a single-GEMM ``as_strided`` lowering (the fast path);
-* ``"fft"`` — frequency-domain kernels via ``numpy.fft`` (wins at large
-  kernel × dilation, i.e. long receptive fields).
+* ``"im2col"`` — a single-GEMM ``as_strided`` lowering (the fast path).
 
 Selection, in decreasing precedence:
 
@@ -32,13 +30,11 @@ from typing import Dict, Iterator, List, Optional
 
 from .base import ConvBackend, conv_out_length
 from .einsum_backend import EinsumBackend
-from .fft_backend import FFTBackend
 from .im2col_backend import Im2colBackend
 
 __all__ = [
     "ConvBackend",
     "EinsumBackend",
-    "FFTBackend",
     "Im2colBackend",
     "conv_out_length",
     "available_backends",
@@ -65,7 +61,6 @@ def register_backend(backend: ConvBackend) -> ConvBackend:
 
 register_backend(EinsumBackend())
 register_backend(Im2colBackend())
-register_backend(FFTBackend())
 
 
 def available_backends() -> List[str]:

@@ -128,8 +128,8 @@ class ConvBackend:
     # implementations below loop the per-model kernels — always correct,
     # so externally registered backends work under stacking automatically —
     # while the built-in backends override them with genuinely batched
-    # contractions (one big einsum / batched GEMM / batched FFT), which is
-    # where the M-fold amortization of per-call overhead comes from.
+    # contractions (one big einsum / batched GEMM), which is where the
+    # M-fold amortization of per-call overhead comes from.
     # ------------------------------------------------------------------
 
     def forward_stacked(self, xp: np.ndarray, w: np.ndarray,

@@ -13,8 +13,7 @@ once, optimizes it, and replays it as generated code:
 * :mod:`~repro.autograd.graph.passes` — the optimization pipeline run on
   every captured program: constant folding, dead-node elimination,
   contiguous-chain op fusion and liveness-planned buffer reuse, all
-  bit-identical to the unoptimized replay (``REPRO_GRAPH_OPT=none`` turns
-  it off);
+  bit-identical to the unoptimized replay;
 * :mod:`~repro.autograd.graph.codegen` — source lowering: each optimized
   program becomes one specialized generated Python function, served from
   a process-wide code cache;
@@ -28,29 +27,21 @@ update kernels and the clip kernel into a :class:`LoopNode`, replaying a
 whole training epoch (or PIT phase) as one generated function with a real
 ``for`` loop.
 
-Entry points for training code: a :class:`CompileConfig` passed as
-``compile_config=`` to any trainer / search layer, the ``--compile`` /
-``--graph-opt`` / ``--loop-capture`` CLI flags, or the
-``REPRO_COMPILE_STEP`` / ``REPRO_GRAPH_OPT`` / ``REPRO_LOOP_CAPTURE``
-environment defaults.
+Entry point for training code: a :class:`CompileConfig` passed as
+``compile_config=`` to any trainer / search layer.  Compiled training
+with loop capture is on by default; ``CompileConfig(compile_step=False)``
+or ``REPRO_COMPILE_STEP=0`` opts out to eager, the reference tier and the
+last fallback rung.
 """
 
 from .capture import GraphCapture, capture
-from .executor import ENV_COMPILE, CompiledStep, EagerStep, compile_step_default
+from .executor import CompiledStep, EagerStep
 from .codegen import LoweringError, codegen_cache_stats, recorded_sources
-from .config import ENV_LOOP_CAPTURE, CompileConfig, loop_capture_default
+from .config import ENV_COMPILE, CompileConfig, compile_step_default
 from .ir import (GraphCaptureError, GraphProgram, LoopNode, build_program,
                  epoch_program)
 from .loop import CompiledEpoch
-from .passes import (
-    ENV_GRAPH_OPT,
-    OPT_LEVELS,
-    OptStats,
-    graph_opt_default,
-    loop_carried_safety,
-    optimize_program,
-    resolve_graph_opt,
-)
+from .passes import OptStats, loop_carried_safety, optimize_program
 
 __all__ = [
     "GraphCapture",
@@ -69,13 +60,7 @@ __all__ = [
     "codegen_cache_stats",
     "recorded_sources",
     "optimize_program",
-    "graph_opt_default",
-    "resolve_graph_opt",
-    "loop_capture_default",
     "loop_carried_safety",
     "OptStats",
     "ENV_COMPILE",
-    "ENV_GRAPH_OPT",
-    "ENV_LOOP_CAPTURE",
-    "OPT_LEVELS",
 ]

@@ -1,54 +1,54 @@
-"""One configuration object for the graph-execution knobs.
+"""One configuration object for the graph-execution tier.
 
 :class:`CompileConfig` is the single way to choose an execution tier: a
 frozen, picklable value (safe to ship to DSE pool workers) passed as
-``compile_config=`` to every trainer / search entry point.  Any ``None``
-field defers to the corresponding ``REPRO_*`` environment variable at use
-time.
+``compile_config=`` to every trainer / search entry point.  The default is
+the compiled tier — each training step traced once and replayed as
+optimized generated code, each epoch replayed as one loop program.  Eager
+execution is the reference and the opt-out: ``compile_step=False``, or
+``REPRO_COMPILE_STEP=0`` in the environment when the config is built.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .executor import ENV_COMPILE, compile_step_default
-from .passes import resolve_graph_opt
+__all__ = ["CompileConfig", "ENV_COMPILE", "compile_step_default"]
 
-__all__ = [
-    "ENV_LOOP_CAPTURE",
-    "CompileConfig",
-    "loop_capture_default",
-]
-
-ENV_LOOP_CAPTURE = "REPRO_LOOP_CAPTURE"
-_TRUTHY = ("1", "true", "yes", "on")
+ENV_COMPILE = "REPRO_COMPILE_STEP"
 
 
-def loop_capture_default() -> bool:
-    """Process-wide default for ``loop_capture=None`` knobs.
+def compile_step_default() -> bool:
+    """Default of :attr:`CompileConfig.compile_step`: compilation is on.
 
-    The ``REPRO_LOOP_CAPTURE`` environment variable when set (read per
-    call so tests can flip it), else False — whole-loop capture is opt-in
-    for now, mirroring how ``REPRO_COMPILE_STEP`` was introduced.
+    Only a falsy ``REPRO_COMPILE_STEP`` (``0``/``false``/``no``/``off``)
+    opts out, leaving eager execution as the reference tier.
     """
-    return os.environ.get(ENV_LOOP_CAPTURE, "").strip().lower() in _TRUTHY
+    return (os.environ.get(ENV_COMPILE, "").strip().lower()
+            not in ("0", "false", "no", "off"))
 
 
 @dataclass(frozen=True)
 class CompileConfig:
-    """The three graph-execution knobs as one immutable, picklable value.
+    """The execution tier as one immutable, picklable value.
 
-    Every field defaults to None, meaning "defer to the environment at use
-    time" (``REPRO_COMPILE_STEP`` / ``REPRO_GRAPH_OPT`` /
-    ``REPRO_LOOP_CAPTURE``), so a default-constructed config is
-    behavior-identical to passing no config at all.
+    ``compile_step`` traces each training step once and replays it as
+    generated code; it defaults to True unless ``REPRO_COMPILE_STEP`` is
+    falsy, read once when the config is constructed.  ``loop_capture``
+    additionally replays each whole epoch as one loop program; loops
+    replay compiled bodies, so it is normalized to False without
+    ``compile_step`` and callers read it alone.  ``loop_capture=False``
+    pins the per-step tier.  Every tier is bit-identical to eager.
     """
 
-    compile_step: Optional[bool] = None
-    graph_opt: Optional[str] = None
-    loop_capture: Optional[bool] = None
+    compile_step: bool = field(default_factory=compile_step_default)
+    loop_capture: bool = True
+
+    def __post_init__(self):
+        if not self.compile_step:
+            object.__setattr__(self, "loop_capture", False)
 
     @classmethod
     def resolve(cls, config: Optional["CompileConfig"] = None
@@ -65,45 +65,3 @@ class CompileConfig:
             raise TypeError(
                 f"compile_config must be a CompileConfig, got {config!r}")
         return config
-
-    # -- resolved views (environment applied) --------------------------
-
-    def _loop_flag(self) -> bool:
-        if self.loop_capture is not None:
-            return bool(self.loop_capture)
-        return loop_capture_default()
-
-    def want_compile(self) -> bool:
-        """Whether step compilation is enabled (env-defaulted).
-
-        Loop capture implies compilation — an epoch loop is built from
-        compiled step bodies — so the loop flag turns the compiler on when
-        ``compile_step`` was left *unset*.  Anything explicit about
-        compilation wins over the loop flag: a ``compile_step=False``
-        field, or a ``REPRO_COMPILE_STEP`` variable actually present in
-        the environment (so ``REPRO_COMPILE_STEP=0 REPRO_LOOP_CAPTURE=1``
-        still means eager).
-        """
-        if self.compile_step is not None:
-            return bool(self.compile_step)
-        if os.environ.get(ENV_COMPILE, "").strip():
-            return compile_step_default()
-        return compile_step_default() or self._loop_flag()
-
-    def want_loop(self) -> bool:
-        """Whether whole-loop capture is enabled (env-defaulted).
-
-        False whenever :meth:`want_compile` is False: loops replay
-        compiled bodies, so disabling compilation disables the loop too.
-        """
-        return self._loop_flag() and self.want_compile()
-
-    def resolved_opt(self) -> str:
-        """The optimization level, validated against ``OPT_LEVELS``."""
-        return resolve_graph_opt(self.graph_opt)
-
-    def validate(self) -> "CompileConfig":
-        """Eagerly validate ``graph_opt``; returns self for chaining."""
-        if self.graph_opt is not None:
-            resolve_graph_opt(self.graph_opt)
-        return self

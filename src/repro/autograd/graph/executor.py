@@ -42,7 +42,6 @@ compile their own step.
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
 from typing import Callable, Dict, Optional, Tuple, Union
 
@@ -51,25 +50,12 @@ import numpy as np
 from ..tensor import Tensor, get_default_dtype, no_grad
 from .capture import capture
 from .ir import GraphCaptureError, GraphProgram, build_program
-from .passes import FusedOp, OptStats, optimize_program, resolve_graph_opt
+from .passes import OPT_LEVELS, FusedOp, OptStats, optimize_program
 
 __all__ = [
     "CompiledStep",
     "EagerStep",
-    "compile_step_default",
-    "ENV_COMPILE",
 ]
-
-ENV_COMPILE = "REPRO_COMPILE_STEP"
-
-
-def compile_step_default() -> bool:
-    """Process-wide default for ``compile_step=None`` knobs.
-
-    True when the ``REPRO_COMPILE_STEP`` environment variable is a truthy
-    flag (``1``/``true``/``yes``/``on``); read per call so tests can flip it.
-    """
-    return os.environ.get(ENV_COMPILE, "").strip().lower() in ("1", "true", "yes", "on")
 
 
 def _scalarize(array: np.ndarray) -> Union[float, np.ndarray]:
@@ -220,9 +206,8 @@ class CompiledStep:
     optimize:
         Graph-optimization level applied to each traced program:
         ``"default"`` (fold/DCE/fuse + memory planning — bit-identical,
-        faster) or ``"none"`` (replay the trace verbatim).  None defers to
-        the ``REPRO_GRAPH_OPT`` environment variable, falling back to
-        ``"default"``.
+        faster) or ``"none"`` (replay the trace verbatim, the reference
+        the passes' own tests compare against).
     backward:
         False captures a *forward-only* step (validation): traced and
         replayed under ``no_grad``, with no backward schedule and no
@@ -233,11 +218,14 @@ class CompiledStep:
     :class:`EagerStep`.
     """
 
-    def __init__(self, step_fn: Callable, optimize: Optional[str] = None,
+    def __init__(self, step_fn: Callable, optimize: str = "default",
                  backward: bool = True):
+        if optimize not in OPT_LEVELS:
+            raise ValueError(f"unknown graph optimization level "
+                             f"{optimize!r}; choose from {OPT_LEVELS}")
         self.step_fn = step_fn
         self.backward = backward
-        self.optimize = resolve_graph_opt(optimize)
+        self.optimize = optimize
         self._runners: Dict[Tuple, _ProgramRunner] = {}
         self._opt_stats: Dict[Tuple, OptStats] = {}
         self._buffer_mark: Optional[int] = None

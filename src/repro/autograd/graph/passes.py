@@ -48,7 +48,6 @@ slots could otherwise change, which is observable in floating point).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -58,13 +57,10 @@ from ..tensor import Tensor
 from .ir import BackwardStep, GraphProgram, OpNode
 
 __all__ = [
-    "ENV_GRAPH_OPT",
     "OPT_LEVELS",
     "FusedOp",
     "MemoryPlan",
     "OptStats",
-    "graph_opt_default",
-    "resolve_graph_opt",
     "optimize_program",
     "fold_constants",
     "eliminate_dead_nodes",
@@ -73,30 +69,9 @@ __all__ = [
     "loop_carried_safety",
 ]
 
-ENV_GRAPH_OPT = "REPRO_GRAPH_OPT"
+#: ``CompiledStep(optimize=...)`` levels: the pass pipeline, or the trace
+#: replayed verbatim (the reference the passes' own tests compare against).
 OPT_LEVELS = ("default", "none")
-
-
-def graph_opt_default() -> str:
-    """Process-wide default for ``graph_opt=None`` knobs.
-
-    The ``REPRO_GRAPH_OPT`` environment variable when set (read per call so
-    tests can flip it), else ``"default"`` — the optimizer is on unless
-    explicitly disabled, because optimized replay is bit-identical.
-    """
-    return os.environ.get(ENV_GRAPH_OPT, "").strip().lower() or "default"
-
-
-def resolve_graph_opt(level: Optional[str]) -> str:
-    """Normalize a ``graph_opt`` knob: None defers to the environment."""
-    if level is None:
-        level = graph_opt_default()
-    level = str(level).strip().lower()
-    if level not in OPT_LEVELS:
-        raise ValueError(
-            f"unknown graph optimization level {level!r}; "
-            f"choose from {OPT_LEVELS} (or set {ENV_GRAPH_OPT})")
-    return level
 
 
 @dataclass
@@ -692,7 +667,7 @@ def optimize_program(program: GraphProgram,
     ``"default"`` runs folding → DCE → fusion → memory planning.
     """
     stats = OptStats()
-    if resolve_graph_opt(level) == "none":
+    if level == "none":
         return stats
     stats.folded = fold_constants(program)
     stats.removed = eliminate_dead_nodes(program)

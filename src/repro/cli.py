@@ -30,24 +30,18 @@ experiment (1.0 = paper width), and ``--conv-backend`` to pick the
 convolution kernels (``einsum`` reference or ``im2col`` GEMM fast path;
 also settable via the ``REPRO_CONV_BACKEND`` environment variable).
 
-The training commands (``train``, ``search``, ``sweep``) accept
-``--compile``, which traces each training step once and replays it through
-the graph-capture executor (see README "Compiled training step"); the
-``REPRO_COMPILE_STEP=1`` environment variable is the equivalent default.
-``--graph-opt {default,none}`` picks the optimization level the executor
-applies to each traced program (constant folding, dead-node elimination,
-op fusion, buffer-arena planning — bit-identical results either way;
-``REPRO_GRAPH_OPT`` is the environment equivalent).  Compiled steps
-replay as specialized generated code (see README "Codegen executor").
-``--loop-capture`` (implies ``--compile``;
-``REPRO_LOOP_CAPTURE`` is the environment equivalent) replays each whole
-training epoch as one loop program — optimizer update kernels, gradient
-clipping and loss accounting inside, flat-packed optimizer state —
-degrading to per-step replay whenever a loop-level condition fails (see
-README "Whole-loop capture").  ``--dump-graph-source PATH`` writes the
-generated programs out for inspection and ``--verbose`` prints the
-compile diagnostics (pass statistics, allocation accounting, codegen
-cache hits, loop replay counts and fallbacks).
+The training commands (``train``, ``search``, ``sweep``) run compiled by
+default: each training step is traced once, optimized (constant folding,
+dead-node elimination, op fusion, buffer-arena planning) and replayed as
+specialized generated code, and each whole training epoch replays as one
+loop program — optimizer update kernels, gradient clipping and loss
+accounting inside — degrading to per-step replay, then eager, whenever a
+condition fails (see README "Compiled training step").  Results are
+bit-identical to eager execution; ``REPRO_COMPILE_STEP=0`` opts out.
+``--dump-graph-source PATH`` writes the generated programs out for
+inspection and ``--verbose`` prints the compile diagnostics (pass
+statistics, allocation accounting, codegen cache hits, loop replay counts
+and fallbacks).
 
 ``sweep`` additionally exposes the DSE engine knobs: ``--workers`` /
 ``--executor`` parallelize the grid, ``--stack N`` trains up to N
@@ -55,8 +49,8 @@ same-warmup grid points as one weight-stacked model (vmap-style batched
 execution; ``REPRO_DSE_STACK`` is the environment equivalent), and
 ``--cache`` memoizes completed (λ, warmup) points — including ``--hw``
 deployment metrics (cache format v2) — to a JSON file so interrupted
-sweeps resume where they left off.  Stack width, like ``--compile``,
-never enters cache keys: stacked and sequential sweeps share entries.
+sweeps resume where they left off.  Stack width, like the execution
+tier, never enters cache keys: stacked and sequential sweeps share entries.
 
 The training commands also accept ``--checkpoint-dir PATH`` and
 ``--checkpoint-every N`` (environment equivalents ``REPRO_CKPT_DIR`` /
@@ -168,19 +162,6 @@ def _checkpoint_args(args: argparse.Namespace) -> dict:
     return out
 
 
-def _compile_config(args: argparse.Namespace):
-    """The graph-execution knobs of this invocation as one CompileConfig.
-
-    store_true flags map to True-or-None (None lets the matching REPRO_*
-    environment variable decide, same as before the flag existed).
-    """
-    from .autograd.graph import CompileConfig
-    return CompileConfig(
-        compile_step=True if getattr(args, "compile", False) else None,
-        graph_opt=getattr(args, "graph_opt", None),
-        loop_capture=True if getattr(args, "loop_capture", False) else None)
-
-
 def _dump_graph_source(args: argparse.Namespace) -> None:
     """Write every generated program of this run to --dump-graph-source."""
     path = getattr(args, "dump_graph_source", None)
@@ -191,7 +172,8 @@ def _dump_graph_source(args: argparse.Namespace) -> None:
     with open(path, "w") as handle:
         if not sources:
             handle.write("# no graph programs were lowered to source in "
-                         "this run (use --compile)\n")
+                         "this run (compilation was off: "
+                         "REPRO_COMPILE_STEP=0)\n")
         for label, source in sources.items():
             handle.write(f"# === program {label} ===\n{source}\n\n")
     print(f"graph source: {path} ({len(sources)} program(s))")
@@ -201,8 +183,8 @@ def _print_compile_stats(stats, phase: Optional[str] = None) -> None:
     """Render one CompiledStep.diagnostics() dict (cli --verbose)."""
     prefix = f"[compile{':' + phase if phase else ''}]"
     if stats is None:
-        print(f"{prefix} step ran eagerly (pass --compile or set "
-              "REPRO_COMPILE_STEP=1)")
+        print(f"{prefix} step ran eagerly (REPRO_COMPILE_STEP=0 opts out "
+              "of compilation; unset it to compile)")
         return
     if stats.get("fallback_reason"):
         print(f"{prefix} eager fallback: {stats['fallback_reason']}")
@@ -239,9 +221,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = _fixed_model(args.benchmark, dilations, args.width, args.seed)
     result = train_plain(model, _loss(args.benchmark), train_loader, val_loader,
                          epochs=args.epochs, lr=args.lr,
-                         patience=args.patience,
-                         compile_config=_compile_config(args),
-                         **_checkpoint_args(args))
+                         patience=args.patience, **_checkpoint_args(args))
     from .core import evaluate
     test_loss = evaluate(model, _loss(args.benchmark), test_loader)
     print(f"network   : {args.benchmark} dilations={dilations or 'all-1'}")
@@ -274,8 +254,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         warmup_epochs=args.warmup, max_prune_epochs=args.epochs,
         prune_patience=args.patience, finetune_epochs=args.finetune,
         finetune_patience=args.patience, verbose=not args.quiet,
-        compile_config=_compile_config(args), checkpoint_tag="search",
-        **_checkpoint_args(args))
+        checkpoint_tag="search", **_checkpoint_args(args))
     result = trainer.fit(train_loader, val_loader)
     print(f"dilations : {result.dilations}")
     if result.resumed_epochs:
@@ -326,7 +305,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                      executor=args.executor, cache_path=args.cache,
                      cache_tag=f"{args.benchmark}|width={args.width}"
                                f"|seed={args.seed}",
-                     compile_config=_compile_config(args),
                      stack=args.stack,
                      point_evaluators=evaluators,
                      retries=args.retries,
@@ -448,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max pruning epochs")
         p.add_argument("--finetune", type=int, default=4)
         p.add_argument("--patience", type=int, default=4)
-        compile_flag(p)
+        diagnostics_flags(p)
 
     def checkpoint_flags(p, resumable=False):
         p.add_argument("--checkpoint-dir", type=str, default=None,
@@ -469,27 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "over; results are bit-identical to the "
                                 "uninterrupted run")
 
-    def compile_flag(p):
-        p.add_argument("--compile", action="store_true",
-                       help="trace the training step once and replay it "
-                            "through the graph executor (default: "
-                            "REPRO_COMPILE_STEP)")
-        p.add_argument("--graph-opt", choices=("default", "none"),
-                       default=None, dest="graph_opt",
-                       help="optimization level for compiled steps: "
-                            "'default' runs the pass pipeline (fold/DCE/"
-                            "fusion/memory planning), 'none' replays the "
-                            "trace verbatim; results are bit-identical "
-                            "(default: REPRO_GRAPH_OPT)")
-        p.add_argument("--loop-capture", action="store_true",
-                       dest="loop_capture",
-                       help="capture the whole training loop: replay each "
-                            "epoch (and each PIT phase) as one loop "
-                            "program over the compiled step body, "
-                            "optimizer update kernels included; implies "
-                            "--compile, degrades to per-step replay when "
-                            "the loop cannot capture; results are "
-                            "bit-identical (default: REPRO_LOOP_CAPTURE)")
+    def diagnostics_flags(p):
         p.add_argument("--dump-graph-source", type=str, default=None,
                        dest="dump_graph_source", metavar="PATH",
                        help="after the run, write every program the "
@@ -503,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser(
         "train", help="plain (no-NAS) training of a fixed-dilation network")
     common(p_train)
-    compile_flag(p_train)
+    diagnostics_flags(p_train)
     p_train.add_argument("--dilations", type=int, nargs="+", default=None,
                          help="per-layer dilations (default: all 1)")
     p_train.add_argument("--epochs", type=int, default=6)
@@ -543,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stacked-model execution: train up to N "
                               "same-warmup grid points as one weight-stacked "
                               "model (1 = sequential; default: "
-                              "REPRO_DSE_STACK or 1).  A speed knob like "
-                              "--compile: results match sequential within "
-                              "fp tolerance and cache entries are shared")
+                              "REPRO_DSE_STACK or 1).  A speed knob: "
+                              "results match sequential within fp "
+                              "tolerance and cache entries are shared")
     p_sweep.add_argument("--hw", action="store_true",
                          help="hardware-in-the-loop: after each grid point "
                               "trains, export + int8-quantize it and "

@@ -438,12 +438,7 @@ class StackedPITTrainer:
         self.regularizer = regularizer
         self.grad_clip = grad_clip
         self.verbose = verbose
-        cfg = CompileConfig.resolve(compile_config)
-        # Resolve once at construction so a later env flip cannot split the
-        # three phases across different tiers.
-        self.compile_config = CompileConfig(
-            compile_step=cfg.want_compile(), graph_opt=cfg.resolved_opt(),
-            loop_capture=cfg.want_loop())
+        self.compile_config = CompileConfig.resolve(compile_config)
 
         # Per-slice checkpoint files: each slice writes a self-contained,
         # template-shaped snapshot, so a stack's resume composes with
@@ -518,8 +513,7 @@ class StackedPITTrainer:
             return loss, task_vec
 
         if self.compile_config.compile_step:
-            return CompiledStep(step_fn,
-                                optimize=self.compile_config.graph_opt)
+            return CompiledStep(step_fn)
         return EagerStep(step_fn)
 
     def _make_eval_step(self) -> Optional[CompiledStep]:

@@ -108,10 +108,9 @@ def make_eval_step(model: Module, loss_fn: LossFn,
     eval-mode structure, so a phase that changes it (freezing the PIT
     masks) builds a fresh one.  None keeps validation eager.
     """
-    if not compile_config.want_compile():
+    if not compile_config.compile_step:
         return None
-    return CompiledStep(lambda x, y: loss_fn(model(x), y),
-                        optimize=compile_config.graph_opt, backward=False)
+    return CompiledStep(lambda x, y: loss_fn(model(x), y), backward=False)
 
 
 def _step_function(model: Module, loss_fn: LossFn,
@@ -132,18 +131,17 @@ def make_training_step(model: Module, loss_fn: LossFn,
 
     The runner computes the (optionally regularized) loss, backpropagates
     it into the parameters' ``.grad``, and returns both loss values as
-    floats.  ``compile_config`` carries the compilation knobs
-    (:class:`repro.autograd.graph.CompileConfig`): with compilation on the
-    step is traced on first use and replayed through the
+    floats.  ``compile_config`` (:class:`repro.autograd.graph.CompileConfig`,
+    compiled by default) selects the tier: with compilation on the step is
+    traced on first use and replayed through the
     :mod:`repro.autograd.graph` executor — bit-identical results, no
-    per-batch graph construction; unset fields defer to the ``REPRO_*``
-    environment defaults.  All settings are bit-identical, so the config
-    only affects speed.
+    per-batch graph construction.  All settings are bit-identical, so the
+    config only affects speed.
     """
     cfg = CompileConfig.resolve(compile_config)
     step_fn = _step_function(model, loss_fn, extra_loss)
-    if cfg.want_compile():
-        return CompiledStep(step_fn, optimize=cfg.graph_opt)
+    if cfg.compile_step:
+        return CompiledStep(step_fn)
     return EagerStep(step_fn)
 
 
@@ -159,7 +157,7 @@ def make_epoch_runner(step, optimizer, grad_clip: Optional[float] = None,
     inside the step itself.
     """
     cfg = CompileConfig.resolve(compile_config)
-    if not cfg.want_loop():
+    if not cfg.loop_capture:
         return None
     return CompiledEpoch(step, optimizer, grad_clip=grad_clip,
                          clip_fn=clip_grad_norm, clip_kernel=clip_grads)
@@ -234,12 +232,11 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
                 checkpoint_resume: bool = True) -> TrainResult:
     """Standard training with early stopping and best-state restore.
 
-    ``compile_config`` carries the compilation knobs
-    (:class:`repro.autograd.graph.CompileConfig`): step compilation traces
-    the training step once and replays it via the graph executor
-    (bit-identical, faster); whole-loop capture additionally replays each
-    *epoch* as one loop program.  Unset fields defer to the ``REPRO_*``
-    environment defaults.
+    ``compile_config`` (:class:`repro.autograd.graph.CompileConfig`)
+    selects the execution tier.  By default the training step is traced
+    once and replayed via the graph executor, and each *epoch* replays as
+    one loop program (bit-identical, faster); ``compile_step=False`` runs
+    eagerly.
 
     With ``checkpoint_dir`` set, the complete training state (model,
     Adam moments/counters, RNG streams, early-stop state) is snapshotted
@@ -373,25 +370,23 @@ class PITTrainer:
         ``"size"`` (Eq. 6, the paper's choice) or ``"flops"``.
     compile_config:
         The execution tier as one :class:`repro.autograd.graph.CompileConfig`
-        (None fields defer to the ``REPRO_*`` environment); every tier is
+        (None means ``CompileConfig()``, the compiled tier); every tier is
         bit-identical to eager.
 
-        * ``compile_step`` — trace each phase's training step once and
-          replay it as generated code (:mod:`repro.autograd.graph`), no
-          per-batch graph construction.  Each phase compiles its own step
-          (the pruning phase adds the regularizer; fine-tuning freezes the
-          masks).
-        * ``graph_opt`` — ``"default"`` runs the pass pipeline (constant
-          folding — which collapses the frozen-mask subgraphs of the
-          fine-tuning phase — dead-node elimination, op fusion,
-          buffer-arena planning) on every traced program; ``"none"``
-          replays the trace verbatim.
+        * ``compile_step`` — trace each phase's training step once, run
+          the pass pipeline on it (constant folding — which collapses the
+          frozen-mask subgraphs of the fine-tuning phase — dead-node
+          elimination, op fusion, buffer-arena planning) and replay it as
+          generated code (:mod:`repro.autograd.graph`), no per-batch graph
+          construction.  Each phase compiles its own step (the pruning
+          phase adds the regularizer; fine-tuning freezes the masks).
+          False runs eagerly.
         * ``loop_capture`` — replay each phase's epochs as one loop
           program (:class:`repro.autograd.graph.CompiledEpoch`): the
           compiled batch body, gradient clipping and the Adam update
           kernels close into a single
           :class:`~repro.autograd.graph.LoopNode` with no trainer Python
-          between batches.  Implies step compilation.
+          between batches.  Takes effect only with ``compile_step``.
     checkpoint_dir / checkpoint_every / checkpoint_tag / checkpoint_resume:
         With ``checkpoint_dir`` set, :meth:`fit` snapshots the complete
         training state every ``checkpoint_every`` epochs (counting
@@ -429,12 +424,7 @@ class PITTrainer:
         self.channel_lam = channel_lam
         self.grad_clip = grad_clip
         self.verbose = verbose
-        cfg = CompileConfig.resolve(compile_config)
-        # Environment-deferred fields resolve at construction, so fit()
-        # ignores later env flips.
-        self.compile_config = CompileConfig(
-            compile_step=cfg.want_compile(), graph_opt=cfg.resolved_opt(),
-            loop_capture=cfg.want_loop())
+        self.compile_config = CompileConfig.resolve(compile_config)
         self._checkpoint = TrainerCheckpoint.create(
             checkpoint_dir, checkpoint_tag, every=checkpoint_every,
             resume=checkpoint_resume)

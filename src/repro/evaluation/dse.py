@@ -104,8 +104,7 @@ QUARANTINE_KILLS = 2
 #: pool deaths per sweep before degrading to in-process sequential runs
 MAX_POOL_DEATHS = 3
 
-#: environment default for DSEEngine(stack=None), like REPRO_COMPILE_STEP
-#: for the compile knob.
+#: environment default for DSEEngine(stack=None).
 ENV_STACK = "REPRO_DSE_STACK"
 #: environment defaults for DSEEngine(workers=None) / (executor=None), so
 #: CI legs can run whole suites under pooled execution without editing
@@ -598,8 +597,8 @@ def _train_grid_point(seed_factory: Callable[[], Module], loss_fn: Callable,
     worker's import-time default differs or another thread switches
     backends mid-sweep.  ``compile_cfg`` (a picklable
     :class:`repro.autograd.graph.CompileConfig`) selects the execution
-    tier inside the worker's :class:`PITTrainer` — step compilation,
-    optimization level, executor mode and whole-loop capture — with each
+    tier inside the worker's :class:`PITTrainer` — step compilation and
+    whole-loop capture — with each
     grid point tracing once per phase and replaying for every batch; the
     compiled-vs-eager bit-parity guarantee is what lets cached and fresh
     results mix freely (cache keys do not record any of these knobs).
@@ -892,10 +891,9 @@ class DSEEngine:
     compile_config:
         A :class:`repro.autograd.graph.CompileConfig` selecting the
         execution tier for every grid point — step compilation
-        (``compile_step``), optimization level (``graph_opt``) and
-        whole-loop capture (``loop_capture``).  Picklable, so it ships to
-        process-pool workers as-is; ``None`` fields defer to the
-        ``REPRO_*`` environment inside each worker.  Deliberately *not*
+        (``compile_step``) and whole-loop capture (``loop_capture``), both
+        on by default.  Picklable, so it ships to process-pool workers
+        as-is, resolved in the calling process.  Deliberately *not*
         part of the cache key — every tier is bit-identical to eager, so
         points trained under any of them are interchangeable.
     stack:
@@ -1006,8 +1004,7 @@ class DSEEngine:
         # engine's compile_config wins over a trainer_kwargs one.
         kwargs_cfg = self.trainer_kwargs.pop("compile_config", None)
         self.compile_config = CompileConfig.resolve(
-            compile_config if compile_config is not None
-            else kwargs_cfg).validate()
+            compile_config if compile_config is not None else kwargs_cfg)
         # Stack width: how many same-warmup grid points train as one
         # weight-stacked model (see repro.core.StackedPITTrainer).  An
         # execution-speed knob like compile_config — results match

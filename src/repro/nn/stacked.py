@@ -10,7 +10,7 @@ template network M times into parameters with a leading **model axis**
   ``(N, C, T)`` — so one dispatch covers the whole stack;
 * convolutions run through :func:`repro.autograd.conv1d_causal_stacked`,
   whose backend kernels batch the M contractions into single einsum /
-  GEMM / FFT calls;
+  GEMM calls;
 * elementwise ops, pooling (via an M·N batch merge) and losses are
   shape-generic and need no new kernels;
 * model slices never mix: slice ``m`` of every activation, gradient and

@@ -106,7 +106,7 @@ class TestGradientParity:
         assert np.allclose(gw, gw_ref, **TOL)
         assert np.allclose(gb, gb_ref, **TOL)
 
-    @pytest.mark.parametrize("backend", ["im2col", "fft"])
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("dilation,stride,kernel",
                              [(1, 1, 1), (2, 1, 3), (4, 2, 3), (8, 3, 9),
                               (1, 3, 9), (2, 2, 9)])
@@ -328,7 +328,7 @@ class TestLegacyBackendSignature:
                 GlobalAvgPool1d(), Linear(3, 1, rng=rng))
             step = make_training_step(
                 model, mse_loss, compile_config=CompileConfig(
-                    compile_step=True, graph_opt="default"))
+                    compile_step=True))
             x, y = rng.standard_normal((2, 2, 12)), rng.standard_normal((2, 1))
             first = step(x, y)    # trace (eager kernels, no scratch)
             second = step(x, y)   # replay goes through the scratch path

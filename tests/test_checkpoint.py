@@ -73,9 +73,9 @@ SCHED = dict(warmup_epochs=1, prune_patience=2, max_prune_epochs=2,
              finetune_epochs=1, finetune_patience=2)
 
 TIERS = {
-    "eager": CompileConfig(),
-    "step": CompileConfig(compile_step=True),
-    "loop": CompileConfig(loop_capture=True),
+    "eager": CompileConfig(compile_step=False),
+    "step": CompileConfig(compile_step=True, loop_capture=False),
+    "loop": CompileConfig(compile_step=True),
 }
 
 
@@ -239,7 +239,7 @@ def _stacked_fingerprint(results, trainer):
 class TestStackedResume:
     @pytest.mark.parametrize("tier", ["eager", "loop"])
     def test_stacked_crash_then_resume_is_bit_identical(self, tier, tmp_path):
-        cfg = TIERS[tier] if tier != "eager" else None
+        cfg = TIERS[tier]
         ref = _stacked_fingerprint(*_fit_stacked(cfg=cfg))
         assert _fit_stacked(str(tmp_path), crash_at=2, cfg=cfg) is None
         out = _fit_stacked(str(tmp_path), cfg=cfg)

@@ -144,7 +144,7 @@ class TestSweep:
         code = main(["sweep", "--benchmark", "ppg", "--width", "0.1",
                      "--lambdas", "0.5", "--gamma-lr", "0.1",
                      "--warmup", "0", "--epochs", "1", "--finetune", "0",
-                     "--quiet", "--conv-backend", "im2col", "--compile"])
+                     "--quiet", "--conv-backend", "im2col"])
         assert code == 0
         assert "pareto front" in capsys.readouterr().out
 
@@ -197,20 +197,16 @@ class TestTrain:
         assert code == 0
         assert "val loss" in capsys.readouterr().out
 
-    def test_train_compile_flag(self, capsys):
+    def test_train_compiles_by_default(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_COMPILE_STEP", raising=False)
         code = main(["train", "--benchmark", "ppg", "--width", "0.1",
                      "--epochs", "1", "--patience", "1", "--quiet",
-                     "--compile"])
+                     "--verbose"])
         assert code == 0
-        assert "val loss" in capsys.readouterr().out
-
-    def test_train_graph_opt_flag(self, capsys):
-        for level in ("default", "none"):
-            code = main(["train", "--benchmark", "ppg", "--width", "0.1",
-                         "--epochs", "1", "--patience", "1", "--quiet",
-                         "--compile", "--graph-opt", level])
-            assert code == 0
-            assert "val loss" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "val loss" in out
+        assert "step ran eagerly" not in out
+        assert "[compile]   loop: replayed=" in out
 
     def test_train_saves_checkpoint(self, tmp_path):
         path = tmp_path / "plain.npz"
@@ -220,30 +216,22 @@ class TestTrain:
         assert path.exists()
 
     def test_compile_defaults_parse(self):
-        args = build_parser().parse_args(["train"])
-        assert args.compile is False
-        args = build_parser().parse_args(["search", "--compile"])
-        assert args.compile is True
-        args = build_parser().parse_args(["sweep", "--compile"])
-        assert args.compile is True
-
-    def test_graph_opt_parse(self):
-        # None lets REPRO_GRAPH_OPT decide; explicit levels pass through.
+        # The tier has no flags (REPRO_COMPILE_STEP=0 is the one opt-out);
+        # only the diagnostics flags remain.
         for command in ("train", "search", "sweep"):
             args = build_parser().parse_args([command])
-            assert args.graph_opt is None
             assert args.dump_graph_source is None
             assert args.verbose is False
-            args = build_parser().parse_args([command, "--graph-opt", "none"])
-            assert args.graph_opt == "none"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "--graph-opt", "O3"])
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--compile"])
 
-    def test_train_graph_exec_verbose_and_dump(self, capsys, tmp_path):
+    def test_train_graph_exec_verbose_and_dump(self, capsys, tmp_path,
+                                               monkeypatch):
+        monkeypatch.delenv("REPRO_COMPILE_STEP", raising=False)
         dump = tmp_path / "program.py"
         code = main(["train", "--benchmark", "ppg", "--width", "0.1",
                      "--epochs", "1", "--patience", "1", "--quiet",
-                     "--compile", "--verbose",
+                     "--verbose",
                      "--dump-graph-source", str(dump)])
         assert code == 0
         out = capsys.readouterr().out
@@ -260,31 +248,29 @@ class TestTrain:
 
     def test_train_verbose_without_compile_explains(self, capsys, monkeypatch):
         # An eager step has no diagnostics; --verbose must say why.
-        # REPRO_LOOP_CAPTURE implies compilation, so clear it too.
-        monkeypatch.delenv("REPRO_COMPILE_STEP", raising=False)
-        monkeypatch.delenv("REPRO_LOOP_CAPTURE", raising=False)
+        monkeypatch.setenv("REPRO_COMPILE_STEP", "0")
         code = main(["train", "--benchmark", "ppg", "--width", "0.1",
                      "--epochs", "1", "--patience", "1", "--quiet",
                      "--verbose"])
         assert code == 0
         assert "step ran eagerly" in capsys.readouterr().out
 
-    def test_search_graph_exec_flag(self, capsys):
+    def test_search_graph_exec_flag(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_COMPILE_STEP", raising=False)
         code = main(["search", "--benchmark", "ppg", "--width", "0.1",
                      "--lam", "0.0", "--warmup", "1", "--epochs", "1",
-                     "--finetune", "1", "--quiet", "--compile",
-                     "--verbose"])
+                     "--finetune", "1", "--quiet", "--verbose"])
         assert code == 0
         out = capsys.readouterr().out
         assert "dilations :" in out
         for phase in ("warmup", "prune", "finetune"):
-            assert f"[compile:{phase}]" in out
+            assert f"[compile:{phase}] graph_opt=" in out
 
     def test_sweep_graph_exec_flag(self, capsys):
         code = main(["sweep", "--benchmark", "ppg", "--width", "0.1",
                      "--lambdas", "0.5", "--gamma-lr", "0.1",
                      "--warmup", "0", "--epochs", "1", "--finetune", "0",
-                     "--quiet", "--compile"])
+                     "--quiet"])
         assert code == 0
         assert "pareto front" in capsys.readouterr().out
 

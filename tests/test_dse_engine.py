@@ -79,12 +79,14 @@ def _loaders(shuffle=False, seed=0):
 
 
 def _sweep(workers, cache_path=None, shuffle=False, factory=Tiny,
-           compile_step=None, graph_opt=None):
+           compile_step=None):
+    """One sweep; ``compile_step=None`` runs at the default tier."""
     train, val = _loaders(shuffle=shuffle)
     engine = DSEEngine(factory, mse_loss, train, val, workers=workers,
                        cache_path=cache_path, trainer_kwargs=dict(SCHEDULE),
-                       compile_config=CompileConfig(compile_step=compile_step,
-                                                    graph_opt=graph_opt))
+                       compile_config=(
+                           None if compile_step is None
+                           else CompileConfig(compile_step=compile_step)))
     return engine.run(LAMBDAS, warmups=WARMUPS)
 
 
@@ -121,7 +123,7 @@ class TestParallelDeterminism:
     def test_compiled_sweep_bit_identical_to_eager(self):
         """compile_step routes every grid point through the graph-capture
         executor; results (and therefore cache entries) must not change."""
-        eager = _sweep(workers=0)
+        eager = _sweep(workers=0, compile_step=False)
         compiled = _sweep(workers=0, compile_step=True)
         parallel_compiled = _sweep(workers=2, compile_step=True)
         _assert_identical(eager, compiled)
@@ -157,33 +159,14 @@ class TestParallelDeterminism:
                       trainer_kwargs=dict(SCHEDULE,
                                           compile_config={"compile_step": 1}))
 
-    def test_graph_opt_levels_bit_identical(self):
-        """The optimizer passes must not change sweep results either way."""
-        eager = _sweep(workers=0)
-        optimized = _sweep(workers=0, compile_step=True, graph_opt="default")
-        verbatim = _sweep(workers=0, compile_step=True, graph_opt="none")
-        _assert_identical(eager, optimized)
-        _assert_identical(eager, verbatim)
-
-    def test_graph_opt_stripped_from_trainer_kwargs_and_cache_keys(self,
-                                                                   tmp_path):
-        """graph_opt is a speed knob like compile_step: stripped from
-        trainer_kwargs (whose JSON forms the cache key) so optimized and
-        unoptimized sweeps share cache entries."""
-        train, val = _loaders()
-        engine = DSEEngine(Tiny, mse_loss, train, val,
-                           trainer_kwargs=dict(
-                               SCHEDULE,
-                               compile_config=CompileConfig(graph_opt="none")))
-        assert engine.compile_config.graph_opt == "none"
-        assert "compile_config" not in engine.trainer_kwargs
-
+    def test_execution_tier_stays_out_of_cache_keys(self, tmp_path):
+        """The tier is a speed knob: eager and compiled sweeps share cache
+        entries."""
         cache = str(tmp_path / "cache.json")
-        first = _sweep(workers=0, cache_path=cache, compile_step=True,
-                       graph_opt="none")
+        first = _sweep(workers=0, cache_path=cache, compile_step=False)
         factory = CountingFactory()
         resumed = _sweep(workers=0, cache_path=cache, factory=factory,
-                         compile_step=True, graph_opt="default")
+                         compile_step=True)
         assert factory.calls == 0  # every point came from the cache
         _assert_identical(first, resumed)
 

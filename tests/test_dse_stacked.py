@@ -25,7 +25,7 @@ program; this suite locks it to the sequential path:
 
 Documented tolerance
 --------------------
-Stacked kernels batch M per-model contractions into single einsum/GEMM/FFT
+Stacked kernels batch M per-model contractions into single einsum/GEMM
 calls whose floating-point reduction order differs from the per-model
 kernels.  Over the short trainings here the accumulated divergence stays
 below ``1e-8`` absolute at float64; under ``REPRO_DTYPE=float32``

@@ -155,7 +155,7 @@ class TestGeneratedSource:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 4, 256))
         y = rng.standard_normal((4, 1))
-        cfg = CompileConfig(compile_step=True, graph_opt="default")
+        cfg = CompileConfig(compile_step=True)
         sizes = []
         for phase in ("warmup", "prune", "finetune"):
             if phase == "finetune":

@@ -226,7 +226,8 @@ class TestPITTrainerParity:
                                  prune_patience=2, finetune_epochs=1,
                                  finetune_patience=1,
                                  compile_config=CompileConfig(
-                                     compile_step=compile_step))
+                                     compile_step=compile_step,
+                                     loop_capture=False))
             outcome = trainer.fit(train, val)
             results[compile_step] = (outcome, model)
         eager, compiled = results[False][0], results[True][0]
@@ -239,10 +240,12 @@ class TestPITTrainerParity:
         assert_same_state(results[False][1], results[True][1], "pit-final")
 
     def test_env_default_enables_compilation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE_STEP", "1")
+        # Compiled with loop capture unless REPRO_COMPILE_STEP opts out.
+        monkeypatch.delenv("REPRO_COMPILE_STEP", raising=False)
         model = temponet_seed(width_mult=0.125, seed=3)
         trainer = PITTrainer(model, mae_loss, lam=0.5)
-        assert trainer.compile_config.compile_step is True
+        assert trainer.compile_config == CompileConfig(compile_step=True,
+                                                       loop_capture=True)
         monkeypatch.setenv("REPRO_COMPILE_STEP", "0")
         trainer = PITTrainer(model, mae_loss, lam=0.5)
         assert trainer.compile_config.compile_step is False
@@ -313,7 +316,8 @@ class TestFallbacks:
             val = DataLoader(data, 4)
             return train_plain(model, mse_loss, train, val, epochs=3,
                                patience=2, compile_config=CompileConfig(
-                                   compile_step=compile_step))
+                                   compile_step=compile_step,
+                                   loop_capture=False))
         eager, compiled = run(False), run(True)
         assert compiled.best_val == eager.best_val
         assert compiled.history == eager.history

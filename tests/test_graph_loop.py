@@ -10,8 +10,10 @@ trainer.
 Also covers the loop structure itself (a replayed epoch is a single
 :class:`LoopNode` program lowered to a real ``for`` loop), the fallback
 ladder (loop → per-step → eager, each rung degrading without poisoning
-the one below, epoch lowering failures included), and the consolidated
-:class:`CompileConfig` knob object.
+the one below, epoch lowering failures included), and the default tier:
+:class:`CompileConfig` selects the loop tier unless told otherwise, and
+trainers built without a config replay their epochs bit-identically to
+eager.
 """
 
 import copy
@@ -33,7 +35,6 @@ from repro.autograd.graph import (
     CompiledStep,
     EagerStep,
     LoopNode,
-    loop_capture_default,
 )
 from repro.autograd.graph import codegen
 from repro.core import PITTrainer
@@ -637,44 +638,131 @@ class TestFallbackLadder:
 
 
 # ----------------------------------------------------------------------
-# CompileConfig: one knob object, env defaults
+# CompileConfig: the compiled loop tier by default, eager as the opt-out
 # ----------------------------------------------------------------------
 
 class TestCompileConfig:
-    def test_defaults_defer_to_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LOOP_CAPTURE", raising=False)
+    def test_default_is_the_loop_tier(self, monkeypatch):
         monkeypatch.delenv("REPRO_COMPILE_STEP", raising=False)
         cfg = CompileConfig()
-        assert not loop_capture_default()
-        assert not cfg.want_loop()
-        assert not cfg.want_compile()
-        monkeypatch.setenv("REPRO_LOOP_CAPTURE", "1")
-        assert loop_capture_default()
-        assert cfg.want_compile()    # loop capture implies compilation
-        assert cfg.want_loop()
+        assert cfg.compile_step is True
+        assert cfg.loop_capture is True
+        model = small_net()
+        step = make_training_step(model, mse_loss, compile_config=cfg)
+        assert isinstance(step, CompiledStep)
+        epoch = make_epoch_runner(step, Adam(model.parameters()), None, cfg)
+        assert isinstance(epoch, CompiledEpoch)
 
-    def test_explicit_compile_off_beats_loop_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOOP_CAPTURE", "1")
-        cfg = CompileConfig(compile_step=False)
-        assert not cfg.want_compile()
-        assert not cfg.want_loop()
-
-    def test_compile_env_beats_loop_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOOP_CAPTURE", "1")
+    def test_env_opt_out_read_at_construction(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILE_STEP", "0")
         cfg = CompileConfig()
-        assert not cfg.want_compile()
-        assert not cfg.want_loop()
+        assert cfg.compile_step is False
+        monkeypatch.delenv("REPRO_COMPILE_STEP")
+        assert cfg.compile_step is False    # frozen when constructed
+        assert CompileConfig().compile_step is True
+
+    def test_all_off_config_is_eager(self):
+        """``compile_step=False, loop_capture=False`` (an eager reference
+        run) constructs and builds the eager runners.  Loops replay
+        compiled bodies, so ``compile_step=False`` alone is the same
+        config: it turns ``loop_capture`` off itself."""
+        cfg = CompileConfig(compile_step=False, loop_capture=False)
+        assert CompileConfig(compile_step=False) == cfg
+        assert CompileConfig(compile_step=False).loop_capture is False
+        model = small_net()
+        step = make_training_step(model, mse_loss, compile_config=cfg)
+        assert isinstance(step, EagerStep)
+        assert make_epoch_runner(step, Adam(model.parameters()), None,
+                                 cfg) is None
 
     def test_resolve_rejects_wrong_type(self):
         with pytest.raises(TypeError, match="CompileConfig"):
             CompileConfig.resolve({"compile_step": True})
 
-    def test_validate_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            CompileConfig(graph_opt="aggressive").validate()
-
     def test_picklable(self):
-        cfg = CompileConfig(compile_step=True, graph_opt="default",
-                            loop_capture=True)
+        cfg = CompileConfig(compile_step=True, loop_capture=False)
         assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+
+class TestDefaultTier:
+    """With no ``compile_config`` the trainers replay whole epochs through
+    the loop tier, bit-identical to an eager run."""
+
+    @staticmethod
+    def _pit_data():
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((16, 2, 12))
+        y = rng.standard_normal((16, 1, 12))
+        train = DataLoader(ArrayDataset(x[:12], y[:12]), 4, shuffle=True,
+                           rng=np.random.default_rng(3))
+        return train, DataLoader(ArrayDataset(x[12:], y[12:]), 4)
+
+    def test_pit_trainer_default_replays_loops(self, monkeypatch):
+        monkeypatch.delenv("REPRO_COMPILE_STEP", raising=False)
+
+        def run(**kwargs):
+            mrng = np.random.default_rng(9)
+            model = Sequential(PITConv1d(2, 4, rf_max=5, rng=mrng), ReLU(),
+                               CausalConv1d(4, 1, 1, rng=mrng))
+            result = PITTrainer(
+                model, mse_loss, lam=1e-6, warmup_epochs=2,
+                max_prune_epochs=3, prune_patience=2, finetune_epochs=2,
+                finetune_patience=2, **kwargs).fit(*self._pit_data())
+            return model, result
+
+        m_eager, r_eager = run(
+            compile_config=CompileConfig(compile_step=False))
+        m_default, r_default = run()
+        assert r_eager.compile_stats == {}
+        for phase in ("warmup", "prune", "finetune"):
+            stats = r_default.compile_stats[phase]
+            assert stats["fallback_reason"] is None, phase
+            assert stats["loop"]["loop_fallback_reason"] is None, phase
+            assert not stats["loop"]["exec_fallbacks"], phase
+            assert stats["loop"]["replayed_epochs"] > 0, phase
+        assert r_default.dilations == r_eager.dilations
+        assert r_default.best_val == r_eager.best_val
+        assert r_default.history == r_eager.history
+        s1, s2 = m_eager.state_dict(), m_default.state_dict()
+        for key in s1:
+            assert np.array_equal(s1[key], s2[key]), key
+
+    def test_stacked_trainer_default_replays_loops(self, monkeypatch):
+        monkeypatch.delenv("REPRO_COMPILE_STEP", raising=False)
+        epochs = []
+        make_epoch = StackedPITTrainer._make_epoch
+
+        def spy(self, step, optimizer):
+            epoch = make_epoch(self, step, optimizer)
+            epochs.append(epoch)
+            return epoch
+        monkeypatch.setattr(StackedPITTrainer, "_make_epoch", spy)
+
+        def run(**kwargs):
+            trainer = StackedPITTrainer(
+                StackSeed(), mse_loss, lams=[1e-7, 1e-4], warmup_epochs=2,
+                max_prune_epochs=3, prune_patience=2, finetune_epochs=2,
+                finetune_patience=2, grad_clip=1.0, **kwargs)
+            results = trainer.fit(*self._pit_data())
+            return results, [trainer.model_for(i).state_dict()
+                             for i in range(len(results))]
+
+        eager_results, eager_states = run(
+            compile_config=CompileConfig(compile_step=False))
+        assert epochs and all(epoch is None for epoch in epochs)
+        epochs.clear()
+        results, states = run()
+        assert epochs and all(isinstance(e, CompiledEpoch) for e in epochs)
+        assert sum(epoch.replayed_epochs for epoch in epochs) > 0
+        for epoch in epochs:
+            assert epoch.loop_fallback_reason is None
+            assert not epoch.exec_fallbacks
+            assert epoch.step.fallback_reason is None
+        for r_eager, r_default in zip(eager_results, results):
+            assert r_default.dilations == r_eager.dilations
+            assert r_default.best_val == r_eager.best_val
+            assert r_default.history == r_eager.history
+            assert r_default.effective_params == r_eager.effective_params
+        for se, sd in zip(eager_states, states):
+            for key in se:
+                assert np.array_equal(se[key], sd[key]), key

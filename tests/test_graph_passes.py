@@ -3,10 +3,10 @@
 Each pass is exercised on tiny captured programs where its effect is
 observable (folded constants, removed dead ops, fused chains, planned
 buffers), and the pipeline as a whole is locked to the unoptimized replay
-bit-for-bit: same losses, same gradients, same trained state — across the
-TCN seeds and the full three-phase PIT run.  ``CompiledStep.alloc_stats``
-is asserted to show zero steady-state growth, the "optimized replay
-allocates nothing" guarantee.
+and to eager execution bit-for-bit: same losses, same gradients, same
+trained state — across the TCN seeds and the full three-phase PIT run.
+``CompiledStep.alloc_stats`` is asserted to show zero steady-state
+growth, the "optimized replay allocates nothing" guarantee.
 """
 
 import numpy as np
@@ -20,13 +20,10 @@ from repro.autograd import (
 from repro.autograd.graph import CompileConfig, build_program, capture
 from repro.autograd.graph.ir import OpNode
 from repro.autograd.graph.passes import (
-    ENV_GRAPH_OPT,
     FusedOp,
     eliminate_dead_nodes,
     fold_constants,
     fuse_chains,
-    graph_opt_default,
-    resolve_graph_opt,
 )
 from repro.core import PITTrainer, size_regularizer
 from repro.core.pit_conv import PITConv1d
@@ -46,7 +43,7 @@ from repro.nn import (
 )
 from repro.optim import Adam
 
-OPTIMIZED = CompileConfig(compile_step=True, graph_opt="default")
+OPTIMIZED = CompileConfig(compile_step=True)
 
 
 def trace_program(step_fn, x, y):
@@ -68,24 +65,19 @@ def op_names(program):
 
 
 # ----------------------------------------------------------------------
-# Knob resolution
+# Optimization levels
 # ----------------------------------------------------------------------
 
 class TestKnobs:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(ENV_GRAPH_OPT, raising=False)
-        assert graph_opt_default() == "default"
-        assert resolve_graph_opt(None) == "default"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_GRAPH_OPT, "none")
-        assert resolve_graph_opt(None) == "none"
-        # An explicit argument beats the environment.
-        assert resolve_graph_opt("default") == "default"
+    def test_default_is_on(self):
+        assert CompiledStep(lambda x, y: x).optimize == "default"
+        step = make_training_step(Sequential(Linear(2, 1)), mse_loss,
+                                  compile_config=OPTIMIZED)
+        assert step.optimize == "default"
 
     def test_invalid_level_rejected(self):
         with pytest.raises(ValueError, match="graph optimization level"):
-            resolve_graph_opt("aggressive")
+            CompiledStep(lambda x, y: x, optimize="aggressive")
         with pytest.raises(ValueError):
             CompiledStep(lambda x, y: x, optimize="O3")
 
@@ -415,12 +407,12 @@ class TestMemoryPlan:
 # Whole-pipeline differential: optimized == unoptimized, bit for bit
 # ----------------------------------------------------------------------
 
-def run_training(make_model, batches, loss_fn, extra_loss_fn, graph_opt):
+def run_training(make_model, batches, loss_fn, extra_loss_fn, compile_step):
     model = make_model()
     extra = (lambda: extra_loss_fn(model)) if extra_loss_fn else None
     step = make_training_step(model, loss_fn, extra_loss=extra,
                               compile_config=CompileConfig(
-                                  compile_step=True, graph_opt=graph_opt))
+                                  compile_step=compile_step))
     optimizer = Adam(model.parameters(), lr=1e-3)
     losses = []
     for x, y in batches:
@@ -428,9 +420,10 @@ def run_training(make_model, batches, loss_fn, extra_loss_fn, graph_opt):
         optimizer.zero_grad()
         losses.append(step(x, y))
         optimizer.step()
-    assert step.fallback_reason is None, step.fallback_reason
-    assert not step.exec_fallbacks, step.exec_fallbacks
-    assert step.dump_source().keys() == set(step.compiled_shapes)
+    if compile_step:
+        assert step.fallback_reason is None, step.fallback_reason
+        assert not step.exec_fallbacks, step.exec_fallbacks
+        assert step.dump_source().keys() == set(step.compiled_shapes)
     return losses, model.state_dict(), step
 
 
@@ -450,10 +443,10 @@ class TestPipelineParity:
         batches = self._batches(xshape, yshape)
         base, state_a, _ = run_training(
             seed_fn, batches, loss_fn,
-            lambda m: size_regularizer(m, 0.02), "none")
+            lambda m: size_regularizer(m, 0.02), False)
         opt, state_b, step = run_training(
             seed_fn, batches, loss_fn,
-            lambda m: size_regularizer(m, 0.02), "default")
+            lambda m: size_regularizer(m, 0.02), True)
         assert base == opt
         for key in state_a:
             assert np.array_equal(state_a[key], state_b[key]), key
@@ -462,8 +455,9 @@ class TestPipelineParity:
 
     def test_three_phase_pit_bit_identical(self):
         outcomes = {}
-        configs = ["none", "default"]
-        for graph_opt in configs:
+        configs = [CompileConfig(compile_step=False),
+                   CompileConfig(compile_step=True)]
+        for config in configs:
             rng = np.random.default_rng(0)
             data = ArrayDataset(rng.standard_normal((24, 4, 256)),
                                 rng.standard_normal((24, 1)))
@@ -475,10 +469,8 @@ class TestPipelineParity:
                                  warmup_epochs=1, max_prune_epochs=2,
                                  prune_patience=2, finetune_epochs=1,
                                  finetune_patience=1,
-                                 compile_config=CompileConfig(
-                                     compile_step=True, graph_opt=graph_opt))
-            outcomes[graph_opt] = (trainer.fit(train, val),
-                                   model.state_dict())
+                                 compile_config=config)
+            outcomes[config] = (trainer.fit(train, val), model.state_dict())
         base = outcomes[configs[0]]
         for config in configs[1:]:
             opt = outcomes[config]
