@@ -147,11 +147,9 @@ class PITChannelConv1d(Module):
         self.time_mask = TimeMask(rf_max, threshold=threshold)
         self.channel_mask = ChannelMask(out_channels, threshold=threshold,
                                         min_channels=min_channels)
-        self._flip_index = np.arange(rf_max)[::-1].copy()
 
     def forward(self, x: Tensor) -> Tensor:
-        time = self.time_mask()[self._flip_index]
-        masked_weight = self.weight * time
+        masked_weight = self.weight * self.time_mask.kernel_mask()
         out = conv1d_causal(x, masked_weight, self.bias,
                             dilation=1, stride=self.stride,
                             backend=self.backend)

@@ -22,12 +22,12 @@ The mask element for lag ``j`` is therefore ``Γ_{g(j)}`` with::
 
 because ``Γ_{v2(j)} = 1``  ⇔  ``d ≤ 2^{v2(j)}``  ⇔  ``d | j``.
 
-Two equivalent constructions are provided:
+Three equivalent constructions are provided:
 
 * :func:`mask_from_binary_gamma` — the constructive description of Fig. 2,
   pure numpy, used for analysis/tests.
-* :class:`TimeMask` — the differentiable module used during training, with
-  BinaryConnect-style binarization (Eq. 2, straight-through estimator).
+* :func:`pit_time_mask` — the single op :class:`TimeMask` trains with:
+  binarization (Eq. 2, straight-through estimator), Γ products, lag scatter.
 * :func:`mask_eq4` — the tensor-algebra form of paper Eq. 4 built from the
   constant ``T`` and ``K`` matrices, kept as an executable specification and
   cross-checked against the constructive form in the test suite.
@@ -35,12 +35,13 @@ Two equivalent constructions are provided:
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
-from ..autograd import Tensor, binarize_ste, concatenate, no_grad, ones
+from ..autograd import OpDef, Tensor, apply_op, concatenate
 from ..nn.module import Module, Parameter
 
 __all__ = [
@@ -55,6 +56,7 @@ __all__ = [
     "build_t_matrix",
     "build_k_matrix",
     "mask_eq4",
+    "pit_time_mask",
     "TimeMask",
 ]
 
@@ -211,16 +213,112 @@ def mask_eq4(gamma: Tensor, rf_max: int) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Differentiable mask module
+# The mask op and the modules that own γ̂
 # ----------------------------------------------------------------------
 
-class TimeMask(Module):
+def _time_mask_fwd(ins, attrs):
+    gamma = ins[0]                                              # (..., L-1)
+    full = np.empty(gamma.shape[:-1] + (gamma.shape[-1] + 1,), gamma.dtype)
+    full[..., 0] = 1.0                                          # γ0
+    bits = np.greater_equal(gamma, attrs["threshold"], out=full[..., 1:])  # Eq. 2
+    # cum[..., k] = γ0·…·γk = Γ_{L-1-k} (Eq. 3); exact on 0/1 values.
+    cum = np.multiply.accumulate(full, axis=-1)
+    return cum.take(attrs["index"], axis=-1), (bits, cum)
+
+
+def _time_mask_bwd(g, ins, out, ctx, attrs, needs):
+    # The adjoint of the scalar composition it replaced, in its summation
+    # order so gradients keep their bits: the lag scatter adds in lag order,
+    # then the Γ chain (model axis last) sums ≤ 2 commuting terms a slot.
+    bits, cum = ctx
+    index = attrs["index"]
+    if attrs["flip"]:
+        g, index = g[..., ::-1], index[::-1]
+    g_cum = np.zeros(cum.shape, cum.dtype)
+    np.add.at(g_cum, (Ellipsis, index), g)
+    grad = np.zeros(bits.shape, bits.dtype)
+    g_cum, cum, bits, grad_t = g_cum.T, cum.T, bits.T, grad.T
+    chain = g_cum[-1]
+    for k in range(len(bits) - 1, -1, -1):
+        grad_t[k] += chain * cum[k]
+        if k:
+            chain = g_cum[k] + chain * bits[k]
+    return (grad,)        # straight-through: ∂bits/∂γ̂ = 1
+
+
+_PIT_TIME_MASK = OpDef("pit_time_mask", _time_mask_fwd, _time_mask_bwd,
+                       bwd_uses=())
+
+
+@functools.lru_cache(maxsize=None)
+def _cum_index(rf_max: int, flip: bool) -> np.ndarray:
+    """Slot of ``cum`` read by each output element (lag or kernel order)."""
+    index = num_gamma(rf_max) - 1 - lag_gamma_indices(rf_max)
+    return index[::-1].copy() if flip else index
+
+
+def pit_time_mask(gamma_hat: Tensor, rf_max: int, threshold: float = 0.5,
+                  flip: bool = False) -> Tensor:
+    """The 0/1 mask of γ̂_1..γ̂_{L-1} (shape ``(L-1,)`` or stacked
+    ``(M, L-1)``) over lags ``0 .. rf_max-1``, or over kernel taps with
+    ``flip`` (tap ``i`` is lag ``rf_max-1-i``); one op, Eqs. 2-4."""
+    return apply_op(_PIT_TIME_MASK, (gamma_hat,),
+                    {"threshold": threshold, "flip": flip,
+                     "index": _cum_index(rf_max, flip)})
+
+
+class _GammaMask(Module):
+    """Masks and bookkeeping of a γ̂ owner: a :class:`TimeMask`, or a
+    stack of them whose per-model methods take the model ``index``."""
+
+    def forward(self, flip: bool = False) -> Tensor:
+        """The differentiable mask ``M`` over lags, shape ``(..., rf_max)``;
+        in kernel order with ``flip``."""
+        if self.frozen:
+            # Fine-tuning: one constant, already in the requested order.
+            mask = self.frozen_mask
+            return Tensor((mask[..., ::-1] if flip else mask).copy())
+        if self.length == 1:
+            # rf_max == 2: no trainable γ, mask is all-ones.
+            return Tensor(np.ones(self.gamma_hat.shape[:-1] + (self.rf_max,)))
+        return pit_time_mask(self.gamma_hat, self.rf_max, self.threshold, flip)
+
+    def kernel_mask(self) -> Tensor:
+        """``M`` in the order the convolutions weigh their kernel taps."""
+        return self(flip=True)
+
+    # -- bookkeeping ----------------------------------------------------------
+    def current_mask(self, index=()) -> np.ndarray:
+        """Binary lag mask of the current γ values (or the frozen mask,
+        the authority even if γ̂ was restored out of sync with it)."""
+        if self.frozen and self.frozen_mask.shape[-1]:
+            return self.frozen_mask[index].copy()
+        bits = (self.gamma_hat.data[index] >= self.threshold).astype(np.float64)
+        return mask_from_binary_gamma(np.concatenate([[1.0], bits]), self.rf_max)
+
+    def current_dilation(self, index=()) -> int:
+        """Dilation of :meth:`current_mask`: the gap between its first two
+        alive lags (lag ``d <= rf_max - 1`` is always alive)."""
+        alive = np.nonzero(self.current_mask(index) >= 0.5)[0]
+        return int(alive[1] - alive[0]) if alive.size > 1 else self.rf_max
+
+    def freeze(self) -> None:
+        """Fix the mask at its current binary value (start of fine-tuning)."""
+        lead = self.gamma_hat.shape[:-1]
+        masks = [self.current_mask(i) for i in np.ndindex(lead)]
+        self.update_buffer("frozen_mask", np.reshape(masks, lead + (self.rf_max,)))
+        self.frozen = True
+
+    def unfreeze(self) -> None:
+        self.frozen = False
+
+
+class TimeMask(_GammaMask):
     """Trainable γ vector of one PIT layer, producing the lag mask ``M``.
 
     Holds the float "shadow" parameters ``γ̂_1 .. γ̂_{L-1}`` (γ0 is the
-    constant 1).  The forward pass binarizes them with a Heaviside at
-    ``threshold`` (straight-through gradient, Eq. 2), forms the Γ products
-    (Eq. 3) and scatters them into the lag mask (Fig. 2 / Eq. 4).
+    constant 1).  ``forward`` (lag order) and :meth:`kernel_mask` (kernel
+    order) build the mask with the :func:`pit_time_mask` op.
 
     After the pruning phase the trainer calls :meth:`freeze`; the mask then
     becomes a constant and γ̂ no longer receives gradients (Algorithm 1,
@@ -235,54 +333,6 @@ class TimeMask(Module):
         self.gamma_hat = Parameter(np.full(max(self.length - 1, 0), init_value),
                                    name="pit.gamma_hat")
         self.register_buffer("frozen_mask", np.zeros(0))
-        self._lag_indices = lag_gamma_indices(rf_max)
-        self.frozen = False
-
-    # -- training-time mask -------------------------------------------------
-    def forward(self) -> Tensor:
-        """Return the differentiable lag mask ``M`` of shape ``(rf_max,)``."""
-        if self.frozen:
-            return Tensor(self.frozen_mask)
-        if self.length == 1:
-            # rf_max == 2: no trainable γ, mask is all-ones.
-            return Tensor(np.ones(self.rf_max))
-        gamma_bin = binarize_ste(self.gamma_hat, self.threshold)   # γ_1..γ_{L-1}
-        full_gamma = concatenate([Tensor(np.ones(1)), gamma_bin])  # prepend γ0
-        # Reversed cumulative products: Γ_i = Π_{k<=L-1-i} γ_k.
-        cumulative = [full_gamma[0:1]]
-        for k in range(1, self.length):
-            cumulative.append(cumulative[-1] * full_gamma[k:k + 1])
-        big_gamma = concatenate(list(reversed(cumulative)), axis=0)  # (L,)
-        return big_gamma[self._lag_indices]
-
-    # -- bookkeeping ----------------------------------------------------------
-    def binary_gamma(self) -> np.ndarray:
-        """Current binary γ (length ``L``, γ0 included), detached."""
-        if self.length == 1:
-            return np.ones(1)
-        bits = (self.gamma_hat.data >= self.threshold).astype(np.float64)
-        return np.concatenate([[1.0], bits])
-
-    def current_dilation(self) -> int:
-        """Dilation encoded by the current (or frozen) γ values."""
-        if self.frozen and self.frozen_mask.size:
-            alive = np.nonzero(self.frozen_mask >= 0.5)[0]
-            gaps = np.diff(alive)
-            return int(gaps[0]) if gaps.size else self.rf_max
-        return effective_dilation(self.binary_gamma(), self.rf_max)
-
-    def current_mask(self) -> np.ndarray:
-        """Binary lag mask implied by the current γ values, detached."""
-        if self.frozen and self.frozen_mask.size:
-            return self.frozen_mask.copy()
-        return mask_from_binary_gamma(self.binary_gamma(), self.rf_max)
-
-    def freeze(self) -> None:
-        """Fix the mask at its current binary value (start of fine-tuning)."""
-        self.update_buffer("frozen_mask", self.current_mask())
-        self.frozen = True
-
-    def unfreeze(self) -> None:
         self.frozen = False
 
     def set_dilation(self, dilation: int) -> None:

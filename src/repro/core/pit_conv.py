@@ -2,7 +2,8 @@
 
 A PIT layer is a causal convolution with *maximally-sized* kernel
 (``rf_max`` taps, dilation 1) whose kernel time-slices are multiplied by
-the differentiable mask ``M`` produced by :class:`repro.core.masks.TimeMask`::
+the differentiable mask ``M`` that :class:`repro.core.masks.TimeMask` builds
+with one :func:`repro.core.masks.pit_time_mask` op, in kernel order::
 
     y[m, t] = Σ_{i=0..rf_max-1} Σ_l  x[l, t - i] * (M_i ⊙ W[l, m, i])
 
@@ -28,6 +29,9 @@ __all__ = ["PITConv1d"]
 
 class PITConv1d(Module):
     """Searchable causal convolution with learnable time-dilation.
+
+    The weight is masked by :meth:`TimeMask.kernel_mask`: one op while γ̂
+    trains, a constant once frozen.
 
     Parameters
     ----------
@@ -65,15 +69,10 @@ class PITConv1d(Module):
         self.bias = Parameter(init.uniform_fan_in((out_channels,), rng),
                               name="pitconv.bias") if bias else None
         self.mask = TimeMask(rf_max, threshold=threshold)
-        # Kernel index i corresponds to lag rf_max-1-i; the mask is produced
-        # in lag order, so it is flipped before being applied to the kernel.
-        self._flip_index = np.arange(rf_max)[::-1].copy()
         self._last_t_out: Optional[int] = None
 
     def forward(self, x: Tensor) -> Tensor:
-        mask_lags = self.mask()                       # (rf_max,) in lag order
-        mask_kernel = mask_lags[self._flip_index]     # kernel order
-        masked_weight = self.weight * mask_kernel     # broadcast over taps
+        masked_weight = self.weight * self.mask.kernel_mask()  # over taps
         out = conv1d_causal(x, masked_weight, self.bias, dilation=1,
                             stride=self.stride, backend=self.backend)
         self._last_t_out = out.shape[-1]

@@ -46,7 +46,6 @@ from ..autograd import (
     CompiledStep,
     EagerStep,
     Tensor,
-    binarize_ste,
     concatenate,
     conv1d_causal_stacked,
     get_default_dtype,
@@ -84,9 +83,9 @@ from .checkpoint import (
     stopper_arrays,
 )
 from .export import effective_parameters, network_dilations
-from .masks import TimeMask, lag_gamma_indices
+from .masks import TimeMask, _GammaMask
 from .pit_conv import PITConv1d
-from .regularizer import gamma_size_coefficients
+from .regularizer import regularizer_term
 from .trainer import DivergedError, PITResult, make_eval_step
 
 __all__ = [
@@ -104,13 +103,9 @@ __all__ = [
 # Stacked searchable layers
 # ----------------------------------------------------------------------
 
-class StackedTimeMask(Module):
-    """M independent :class:`TimeMask` instances on one ``(M, L-1)`` γ̂.
-
-    ``forward`` returns the stacked lag mask ``(M, rf_max)``; binarization,
-    the reversed cumulative Γ products and the lag scatter all act
-    per-model along the leading axis.
-    """
+class StackedTimeMask(_GammaMask):
+    """M independent :class:`TimeMask` instances on one ``(M, L-1)`` γ̂:
+    one ``pit_time_mask`` op gives the ``(M, rf_max)`` mask."""
 
     def __init__(self, template: TimeMask, ctx: StackContext):
         super().__init__()
@@ -123,55 +118,7 @@ class StackedTimeMask(Module):
             name="stacked.pit.gamma_hat")
         self.register_buffer(
             "frozen_mask", stack_parameter(template.frozen_mask, ctx.m))
-        self._lag_indices = lag_gamma_indices(template.rf_max)
         self.frozen = template.frozen
-
-    # -- training-time mask -------------------------------------------------
-    def forward(self) -> Tensor:
-        if self.frozen:
-            return Tensor(self.frozen_mask)
-        if self.length == 1:
-            return Tensor(np.ones((self.m, self.rf_max)))
-        gamma_bin = binarize_ste(self.gamma_hat, self.threshold)  # (M, L-1)
-        full_gamma = concatenate(
-            [Tensor(np.ones((self.m, 1))), gamma_bin], axis=1)    # (M, L)
-        cumulative = [full_gamma[:, 0:1]]
-        for k in range(1, self.length):
-            cumulative.append(cumulative[-1] * full_gamma[:, k:k + 1])
-        big_gamma = concatenate(list(reversed(cumulative)), axis=1)  # (M, L)
-        return big_gamma[:, self._lag_indices]                       # (M, rf)
-
-    # -- per-model bookkeeping ----------------------------------------------
-    def binary_gamma(self, index: int) -> np.ndarray:
-        if self.length == 1:
-            return np.ones(1)
-        bits = (self.gamma_hat.data[index] >= self.threshold).astype(np.float64)
-        return np.concatenate([[1.0], bits])
-
-    def current_mask(self, index: int) -> np.ndarray:
-        from .masks import mask_from_binary_gamma
-        if self.frozen and self.frozen_mask.shape[1]:
-            return self.frozen_mask[index].copy()
-        return mask_from_binary_gamma(self.binary_gamma(index), self.rf_max)
-
-    def current_dilation(self, index: int) -> int:
-        from .masks import effective_dilation
-        if self.frozen and self.frozen_mask.shape[1]:
-            # Mirror TimeMask.current_dilation: a frozen mask is the
-            # authority, even if γ̂ was restored out of sync with it.
-            alive = np.nonzero(self.frozen_mask[index] >= 0.5)[0]
-            gaps = np.diff(alive)
-            return int(gaps[0]) if gaps.size else self.rf_max
-        return effective_dilation(self.binary_gamma(index), self.rf_max)
-
-    def freeze(self) -> None:
-        """Fix all M masks at their current binary values."""
-        masks = np.stack([self.current_mask(i) for i in range(self.m)])
-        self.update_buffer("frozen_mask", masks)
-        self.frozen = True
-
-    def unfreeze(self) -> None:
-        self.frozen = False
 
     def __repr__(self) -> str:
         return (f"StackedTimeMask(M={self.m}, rf_max={self.rf_max}, "
@@ -195,13 +142,10 @@ class StackedPITConv1d(Module):
                                name="stacked.pitconv.bias")
                      if template.bias is not None else None)
         self.mask = StackedTimeMask(template.mask, ctx)
-        self._flip_index = template._flip_index.copy()
         self._last_t_out: Optional[int] = None
 
     def forward(self, x: Tensor) -> Tensor:
-        mask_lags = self.mask()                        # (M, rf_max), lag order
-        mask_kernel = mask_lags[:, self._flip_index]   # kernel order
-        masked_weight = self.weight * mask_kernel.reshape(
+        masked_weight = self.weight * self.mask.kernel_mask().reshape(
             self.m, 1, 1, self.rf_max)
         out = conv1d_causal_stacked(x, masked_weight, self.bias, dilation=1,
                                     stride=self.stride, backend=self.backend)
@@ -262,29 +206,14 @@ def stacked_regularizer_vector(stacked: StackedModel,
 
     ``kind="size"`` is the paper's model-size Lasso; ``"flops"`` multiplies
     each layer's term by its last recorded output length, mirroring
-    :func:`repro.core.flops_regularizer`.  The caller applies its per-model
-    λ vector (``λ ⊙ reg``), which is exactly where stacked grid points
-    differ from each other.
+    :func:`repro.core.flops_regularizer`, as one ``pit_size_reg`` op.  The
+    caller applies its per-model λ vector (``λ ⊙ reg``), which is exactly
+    where stacked grid points differ from each other.
     """
-    terms: List[Tensor] = []
-    for layer in stacked.net.modules():
-        if not isinstance(layer, StackedPITConv1d):
-            continue
-        mask = layer.mask
-        if mask.frozen or mask.length <= 1:
-            continue
-        coeffs = Tensor(gamma_size_coefficients(layer.rf_max))     # (L-1,)
-        contribution = (coeffs * mask.gamma_hat.abs()).sum(axis=1)  # (M,)
-        factor = float(layer.in_channels * layer.out_channels)
-        if kind == "flops":
-            factor *= float(layer._last_t_out or 1)
-        terms.append(contribution * factor)
-    if not terms:
-        return Tensor(np.zeros(stacked.stack_size))
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total
+    term = regularizer_term(
+        ((layer.mask, layer) for layer in stacked.net.modules()
+         if isinstance(layer, StackedPITConv1d)), kind, axis=1)
+    return Tensor(np.zeros(stacked.stack_size)) if term is None else term
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.nn import (
     polyphonic_nll,
 )
 from repro.optim import Adam
+from test_pit_ops import composed_forward, reference_regularizer
 
 OPTIMIZED = CompileConfig(compile_step=True)
 
@@ -150,18 +151,28 @@ class TestFoldConstants:
         fold_constants(program)
         assert "dropout" in op_names(program)
 
-    def test_frozen_pit_mask_subgraph_folds(self):
-        """Phase 3: frozen masks turn the whole mask product constant."""
+    def test_frozen_pit_mask_subgraph_folds(self, monkeypatch):
+        """Phase 3: frozen masks turn the whole mask product constant —
+        the scalar composition folds, and a frozen PIT layer traces no
+        mask node at all (its kernel-order mask is one constant)."""
+        def frozen_model():
+            rng = np.random.default_rng(0)
+            model = Sequential(PITConv1d(2, 3, rf_max=9, rng=rng),
+                               GlobalAvgPool1d(), Linear(3, 1, rng=rng))
+            model[0].freeze()
+            return model
+
         rng = np.random.default_rng(0)
-        model = Sequential(PITConv1d(2, 3, rf_max=9, rng=rng),
-                           GlobalAvgPool1d(), Linear(3, 1, rng=rng))
-        model[0].freeze()
-        step = make_training_step(model, mse_loss,
-                                  compile_config=OPTIMIZED)
         x, y = rng.standard_normal((2, 2, 16)), rng.standard_normal((2, 1))
+        model = frozen_model()
+        program, _ = trace_program(lambda tx, ty: mse_loss(model(tx), ty),
+                                   x, y)
+        assert not {"pit_time_mask", "getitem"} & set(op_names(program))
+        monkeypatch.setattr(PITConv1d, "forward", composed_forward)
+        step = make_training_step(frozen_model(), mse_loss,
+                                  compile_config=OPTIMIZED)
         step(x, y)
         stats = next(iter(step.opt_stats.values()))
-        # The frozen mask's kernel-order getitem pre-evaluates at least.
         assert stats["folded"] >= 1
 
     def test_stateful_batch_norm_never_folds(self):
@@ -178,10 +189,12 @@ class TestFoldConstants:
         fold_constants(program)
         assert "batch_norm" in op_names(program)
 
-    def test_batch_norm_survives_frozen_mask_folding(self):
+    def test_batch_norm_survives_frozen_mask_folding(self, monkeypatch):
         """Finetune: the frozen mask product folds, while the batch norm
         behind the masked conv stays and keeps updating its running
         statistics on every replay, exactly as eager does."""
+        monkeypatch.setattr(PITConv1d, "forward", composed_forward)
+
         def make():
             rng = np.random.default_rng(0)
             model = Sequential(PITConv1d(2, 3, rf_max=9, rng=rng),
@@ -364,12 +377,13 @@ class TestMemoryPlan:
         assert steady["steady_state_growth"] == 0
         assert steady["persistent_buffers"] == warm["persistent_buffers"]
 
-    def test_arena_shares_buffers(self):
+    def test_arena_shares_buffers(self, monkeypatch):
+        monkeypatch.setattr(PITConv1d, "forward", composed_forward)
         model = temponet_seed(width_mult=0.125, seed=3)
 
         def step_fn(tx, ty):
             task = mae_loss(model(tx), ty)
-            return task + size_regularizer(model, 0.02), task
+            return task + reference_regularizer(model, 0.02), task
 
         step = CompiledStep(step_fn, optimize="default")
         rng = np.random.default_rng(0)
